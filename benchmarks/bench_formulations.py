@@ -27,12 +27,13 @@ import pytest
 
 from benchmarks.bench_suite import bench_rev
 from benchmarks.conftest import emit
-from repro.core.config import FORMULATIONS, FloorplanConfig, Objective
+from repro.core.config import FloorplanConfig, Objective
 from repro.core.formulation import SubproblemBuilder
 from repro.eval.report import format_table
 from repro.geometry.rect import Rect
 from repro.milp.solution import SolveStatus
 from repro.milp.solvers.registry import solve
+from repro.milp.telemetry import FORMULATIONS, SolveContext
 from repro.netlist.module import Module
 
 #: The backend whose search-effort counters the table reports.
@@ -103,7 +104,8 @@ def _solve_point(name: str, formulation: str) -> dict:
     builder = SubproblemBuilder(modules, obstacles, chip_width, config)
     start = time.perf_counter()
     solution = solve(builder.model, backend=BACKEND,
-                     formulation=formulation, time_limit=120.0)
+                     context=SolveContext(formulation=formulation),
+                     time_limit=120.0)
     elapsed = time.perf_counter() - start
     assert solution.status is SolveStatus.OPTIMAL, \
         (name, formulation, solution.status)

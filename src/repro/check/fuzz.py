@@ -50,6 +50,7 @@ from repro.milp.model import Model, ObjectiveSense
 from repro.milp.solution import Solution, SolveStatus
 from repro.milp.solvers.registry import available_backends, solve_many
 from repro.milp.solvers.smt_dl import supports_model as _smt_supports
+from repro.milp.telemetry import DEFAULT_FORMULATION, FORMULATIONS
 from repro.serialize import model_from_dict, model_to_dict
 
 #: Relative tolerance when comparing objective claims across backends.
@@ -104,8 +105,6 @@ def generate_case(rng: random.Random, *,
     use_eco = eco_axis and rng.random() < 0.5
     if not formulation_axis:
         return {"": _floorplan_shaped(rng, outline=use_outline, eco=use_eco)}
-    from repro.core.config import FORMULATIONS
-
     state = rng.getstate()
     case: dict[str, Model] = {}
     for formulation in FORMULATIONS:
@@ -163,7 +162,7 @@ def _random_boxed(rng: random.Random, *, integers: bool) -> Model:
 
 
 def _floorplan_shaped(rng: random.Random, *,
-                      formulation: str = "bigm",
+                      formulation: str = DEFAULT_FORMULATION,
                       outline: bool = False,
                       eco: bool = False) -> Model:
     """A small real subproblem from :class:`SubproblemBuilder`: 1-2 window

@@ -15,10 +15,11 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core.config import FORMULATIONS, FloorplanConfig, Objective, Ordering
+from repro.core.config import FloorplanConfig, Objective, Ordering
 from repro.core.floorplanner import Floorplanner
 from repro.eval.experiments import run_series1, run_series2, run_series3
 from repro.eval.report import format_table
+from repro.milp.telemetry import DEFAULT_FORMULATION, FORMULATIONS
 from repro.netlist.generators import random_netlist
 from repro.netlist.mcnc import ami33_like, apte_like, hp_like, xerox_like
 from repro.netlist.netlist import Netlist
@@ -74,7 +75,7 @@ def _config_from(args: argparse.Namespace) -> FloorplanConfig:
         technology=technology,
         subproblem_time_limit=args.time_limit,
         backend=args.backend,
-        formulation=getattr(args, "formulation", "bigm"),
+        formulation=getattr(args, "formulation", DEFAULT_FORMULATION),
         presolve=not getattr(args, "no_presolve", False),
         warm_start=not getattr(args, "no_warm_start", False),
         solve_cache=not getattr(args, "no_solve_cache", False),
@@ -119,7 +120,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "self-contained branch-and-bound; smt is the "
                              "LP-free difference-logic solver for rigid "
                              "area/perimeter instances)")
-    parser.add_argument("--formulation", default="bigm",
+    parser.add_argument("--formulation", default=DEFAULT_FORMULATION,
                         choices=list(FORMULATIONS),
                         help="non-overlap encoding: bigm is the paper's "
                              "eq. (2) two-binary big-M encoding; unary is "
@@ -572,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv.add_argument("--backend", default="highs",
                       choices=["highs", "bnb", "portfolio"],
                       help="default MILP backend for jobs")
-    p_sv.add_argument("--formulation", default="bigm",
+    p_sv.add_argument("--formulation", default=DEFAULT_FORMULATION,
                       choices=list(FORMULATIONS),
                       help="default non-overlap encoding for jobs")
     p_sv.add_argument("--outline", type=_parse_outline, default=None,

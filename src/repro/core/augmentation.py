@@ -28,7 +28,7 @@ from repro.geometry.polygon import CoveringPolygon
 from repro.geometry.rect import Rect
 from repro.milp.solution import Solution
 from repro.milp.solvers.registry import solve
-from repro.milp.telemetry import SolveTelemetry
+from repro.milp.telemetry import SolveContext, SolveTelemetry
 from repro.netlist.netlist import Netlist
 
 if TYPE_CHECKING:
@@ -461,16 +461,16 @@ def _solve_with_retry(builder: SubproblemBuilder, config: FloorplanConfig,
     ``config.solve_cache`` every solve goes through
     :mod:`repro.milp.cache`: re-linearization rounds whose window converged
     rebuild a structurally identical model, which the cache recognizes and
-    serves (after re-certification) instead of re-solving.
+    serves (after re-certification) instead of re-solving.  The solve
+    context records the encoding, the builder's fixed outline, and ``eco``,
+    the ``(window, frozen)`` shape of a windowed ECO subform
+    (:mod:`repro.core.eco`).
     """
+    outline = None if builder.outline_height is None \
+        else (builder.chip_width, builder.outline_height)
     extra: dict = {"presolve": config.presolve,
-                   "formulation": config.formulation}
-    if builder.outline_height is not None:
-        extra["outline"] = (builder.chip_width, builder.outline_height)
-    if eco is not None:
-        # Windowed ECO subforms carry their (window, frozen) shape into the
-        # cache key and telemetry provenance (repro.core.eco).
-        extra["eco"] = eco
+                   "context": SolveContext(formulation=config.formulation,
+                                           outline=outline, eco=eco)}
     if config.presolve:
         extra["symmetry_groups"] = builder.symmetry_groups()
     if config.solve_cache:

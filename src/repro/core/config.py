@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
+from repro.milp.telemetry import DEFAULT_FORMULATION, FORMULATIONS
+
 if TYPE_CHECKING:
     from repro.routing.technology import Technology
 
@@ -22,19 +24,6 @@ def _default_technology() -> "Technology":
     from repro.routing.technology import Technology
 
     return Technology.over_the_cell()
-
-
-#: Registered non-overlap formulations (the ``formulation=`` axis).
-#:
-#: ``"bigm"`` is the paper's eq. (2) encoding: two binaries per pair and four
-#: global big-M rows.  ``"unary"`` is the Huchette–Dey–Vielma-style unary
-#: encoding: four one-hot direction indicators per pair with per-direction
-#: tightened big-Ms plus valid inequalities that strengthen the LP
-#: relaxation.  Both describe the same feasible geometry, so optimal
-#: objectives are identical — the cross-formulation parity suite pins that
-#: down.  Defined here (not in :mod:`repro.core.formulation`) so the config
-#: can validate without importing the model-building layer.
-FORMULATIONS: tuple[str, ...] = ("bigm", "unary")
 
 
 class Objective(str, Enum):
@@ -133,12 +122,12 @@ class FloorplanConfig:
             rigid-module fragment of the formulation (no flexible modules,
             no wirelength terms).
         formulation: non-overlap encoding of the eq. (2) disjunctions — one
-            of :data:`FORMULATIONS`.  ``"bigm"`` (default) is the paper's
-            two-binary big-M encoding and reproduces today's golden traces
-            byte-for-byte; ``"unary"`` is the stronger
-            Huchette–Dey–Vielma-style one-hot encoding with tightened
-            big-Ms and valid inequalities (same optimal objectives, fewer
-            branch-and-bound nodes).
+            of :data:`~repro.milp.telemetry.FORMULATIONS`.  ``"bigm"``
+            (default) is the paper's two-binary big-M encoding and
+            reproduces today's golden traces byte-for-byte; ``"unary"`` is
+            the stronger Huchette–Dey–Vielma-style one-hot encoding with
+            tightened big-Ms and valid inequalities (same optimal
+            objectives, fewer branch-and-bound nodes).
         subproblem_time_limit: per-MILP wall-clock limit in seconds.
         mip_rel_gap: per-MILP relative gap tolerance.
         int_tol: integrality tolerance of the own branch-and-bound
@@ -227,7 +216,7 @@ class FloorplanConfig:
     legalize: bool = True
     record_snapshots: bool = False
     backend: str = "highs"
-    formulation: str = "bigm"
+    formulation: str = DEFAULT_FORMULATION
     subproblem_time_limit: float | None = 30.0
     mip_rel_gap: float = 1e-4
     int_tol: float = 1e-6

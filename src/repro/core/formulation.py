@@ -9,7 +9,7 @@ wirelength term.
 Constraint systems implemented:
 
 * eq. (2): pairwise non-overlap.  Two interchangeable encodings are
-  registered (:data:`repro.core.config.FORMULATIONS`, selected by
+  registered (:data:`repro.milp.telemetry.FORMULATIONS`, selected by
   ``config.formulation``):
 
   - ``"bigm"`` — the paper's encoding: two binaries ``(p_ij, q_ij)`` per

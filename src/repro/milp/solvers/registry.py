@@ -26,7 +26,7 @@ import numpy as np
 from repro.milp.expr import Variable
 from repro.milp.model import Model, StandardForm
 from repro.milp.solution import Solution, SolveStatus
-from repro.milp.telemetry import DEFAULT_FORMULATION
+from repro.milp.telemetry import SolveContext
 
 if TYPE_CHECKING:
     from repro.milp.cache import SolveCache
@@ -160,9 +160,7 @@ def solve(model: Model, backend: str = "highs", *,
           symmetry_groups: Sequence[Sequence[Variable]] = (),
           cache: "SolveCache | None" = None,
           form: StandardForm | None = None,
-          formulation: str | None = None,
-          outline: tuple[float, float] | None = None,
-          eco: tuple[int, int] | None = None,
+          context: SolveContext = SolveContext(),
           **options) -> Solution:
     """Solve ``model`` with the named backend.
 
@@ -190,31 +188,16 @@ def solve(model: Model, backend: str = "highs", *,
             solving happens, and a proven-OPTIMAL result is stored after.
             Hits are re-certified against the raw standard form before
             being served (see :mod:`repro.milp.cache`).  The key folds in
-            ``backend``, ``presolve``, warm-start presence, and the
-            ``mip_rel_gap`` / ``int_tol`` tolerances, so configurations
-            that could return different optimal vertices never share an
-            entry.
+            ``backend``, ``presolve``, warm-start presence, the
+            ``mip_rel_gap`` / ``int_tol`` tolerances and ``context``, so
+            configurations that could return different optimal vertices
+            never share an entry.
         form: a precomputed ``model.to_standard_form()``; batching callers
             (:func:`solve_many`) pass it so canonicalization and cache-key
             hashing happen once per instance, not once per variant.
-        formulation: the non-overlap encoding that produced ``model``
-            (:data:`repro.core.config.FORMULATIONS`), recorded as telemetry
-            provenance and folded into the cache key — two encodings of the
-            same instance canonicalize differently anyway, but the explicit
-            key context keeps that invariant independent of canonicalization
-            details.  None for models without a formulation identity.
-        outline: the fixed die ``(W, H)`` the model was built against, or
-            None for an open-outline model.  Recorded as telemetry
-            provenance and folded into the cache key so a fixed-outline
-            solve never shares an entry with an open-outline solve of the
-            same netlist — the cap changes which optimum is reachable even
-            when the canonical forms happen to collide.
-        eco: ``(window size, frozen count)`` when the model is a windowed
-            incremental-ECO subform (:func:`repro.core.eco.solve_eco`), or
-            None for a non-ECO model.  Recorded as telemetry provenance
-            and folded into the cache key so a windowed subform never
-            shares an entry with a structurally colliding augmentation
-            step solved against a different frozen context.
+        context: how ``model`` was built (formulation, fixed outline, ECO
+            window; :class:`~repro.milp.telemetry.SolveContext`), recorded
+            as telemetry provenance and folded into the cache key.
         **options: backend-specific options such as ``time_limit``,
             ``mip_rel_gap``, ``node_limit``, ``lp_engine``, ``int_tol``.
 
@@ -228,96 +211,55 @@ def solve(model: Model, backend: str = "highs", *,
             f"unknown backend {backend!r}; available: {available_backends()}"
         ) from None
 
-    cache_key: str | None = None
+    key: str | None = None
     key_seconds = 0.0
     if cache is not None:
-        from repro.milp import cache as cache_mod
-
         if form is None:
             form = model.to_standard_form()
-        started = time.perf_counter()
-        cache_key = cache_mod.canonical_form_key(form, context=(
-            backend, bool(presolve), warm_start is not None,
-            cache_mod._q(float(options.get("mip_rel_gap", 1e-4))),
-            cache_mod._q(float(options.get("int_tol", 1e-6))),
-            formulation, _outline_context(outline), _eco_context(eco)))
-        key_seconds = time.perf_counter() - started
-        cache.stats.key_seconds += key_seconds
-        served = cache_mod.serve_cached(
-            cache, cache_key, model, form,
-            int_tol=float(options.get("int_tol", 1e-6)),
-            mip_rel_gap=float(options.get("mip_rel_gap", 1e-4)),
-            key_seconds=key_seconds)
+        key, key_seconds, served = _lookup(
+            cache, model, form, backend, presolve=presolve,
+            warm_started=warm_start is not None, context=context,
+            options=options)
         if served is not None:
-            _stamp_formulation(served, formulation)
-            _stamp_outline(served, outline)
-            _stamp_eco(served, eco)
             return served
 
     solution = _solve_uncached(fn, model, backend, form,
                                presolve=presolve, warm_start=warm_start,
                                symmetry_groups=symmetry_groups, **options)
-    _stamp_formulation(solution, formulation)
-    _stamp_outline(solution, outline)
-    _stamp_eco(solution, eco)
-    if cache is not None and cache_key is not None and form is not None:
+    if solution.telemetry is not None:
+        solution.telemetry.record_context(context)
+    if key is not None:
         from repro.milp import cache as cache_mod
 
-        cache_mod.record_store(cache, cache_key, solution, form,
+        cache_mod.record_store(cache, key, solution, form,
                                key_seconds=key_seconds)
     return solution
 
 
-def _outline_context(outline: tuple[float, float] | None):
-    """The cache-key context entry of a fixed outline (quantized like the
-    tolerance entries, so float noise never splits genuinely equal keys)."""
-    if outline is None:
-        return None
+def _lookup(cache: "SolveCache", model: Model, form: StandardForm,
+            backend: str, *, presolve: bool, warm_started: bool,
+            context: SolveContext, options: dict
+            ) -> tuple[str, float, Solution | None]:
+    """Key ``form`` as :func:`solve` documents and look it up: ``(key,
+    key_seconds, served)``, where ``served`` is a re-certified hit or None
+    on a miss."""
     from repro.milp import cache as cache_mod
 
-    return (cache_mod._q(float(outline[0])), cache_mod._q(float(outline[1])))
-
-
-def _stamp_outline(solution: Solution,
-                   outline: tuple[float, float] | None) -> None:
-    """Record fixed-outline provenance on the solution's telemetry.
-
-    Open-outline solves keep None — absent in serialized telemetry — so
-    documents recorded before the outline axis stay byte-identical.
-    """
-    if outline is not None and solution.telemetry is not None:
-        solution.telemetry.outline = (float(outline[0]), float(outline[1]))
-
-
-def _eco_context(eco: tuple[int, int] | None):
-    """The cache-key context entry of a windowed ECO subform: the window
-    size and frozen count that shaped the model (None for non-ECO solves,
-    keeping pre-ECO keys unchanged in meaning)."""
-    if eco is None:
-        return None
-    return (int(eco[0]), int(eco[1]))
-
-
-def _stamp_eco(solution: Solution, eco: tuple[int, int] | None) -> None:
-    """Record incremental-ECO provenance on the solution's telemetry.
-
-    Non-ECO solves keep None — absent in serialized telemetry — so
-    documents recorded before the ECO axis stay byte-identical.
-    """
-    if eco is not None and solution.telemetry is not None:
-        solution.telemetry.eco = {"window": int(eco[0]),
-                                  "frozen": int(eco[1])}
-
-
-def _stamp_formulation(solution: Solution, formulation: str | None) -> None:
-    """Record formulation provenance on the solution's telemetry.
-
-    The default encoding is left as None — None *means* the default — so a
-    document round-trip (which omits the default) restores an equal record.
-    """
-    if (formulation is not None and formulation != DEFAULT_FORMULATION
-            and solution.telemetry is not None):
-        solution.telemetry.formulation = formulation
+    int_tol = float(options.get("int_tol", 1e-6))
+    mip_rel_gap = float(options.get("mip_rel_gap", 1e-4))
+    started = time.perf_counter()
+    key = cache_mod.canonical_form_key(form, context=(
+        backend, bool(presolve), warm_started,
+        cache_mod._q(mip_rel_gap), cache_mod._q(int_tol),
+        *context.key_items()))
+    key_seconds = time.perf_counter() - started
+    cache.stats.key_seconds += key_seconds
+    served = cache_mod.serve_cached(cache, key, model, form, int_tol=int_tol,
+                                    mip_rel_gap=mip_rel_gap,
+                                    key_seconds=key_seconds)
+    if served is not None and served.telemetry is not None:
+        served.telemetry.record_context(context)
+    return key, key_seconds, served
 
 
 def _solve_uncached(fn: Callable[..., Solution], model: Model, backend: str,
@@ -425,9 +367,7 @@ def _batch_worker(payload: dict) -> dict:
                          presolve=payload["presolve"],
                          warm_start=payload["warm_start"],
                          symmetry_groups=payload["symmetry_groups"],
-                         formulation=payload["formulation"],
-                         outline=payload["outline"],
-                         eco=payload["eco"],
+                         context=payload["context"],
                          **payload["options"])
     except Exception as exc:  # noqa: BLE001 — surfaced per-item by caller
         if payload["on_error"] != "capture":
@@ -443,9 +383,7 @@ def solve_many(models: Sequence[Model], backend: str = "highs", *,
                cache: "SolveCache | None" = None,
                workers: int | None = 1,
                on_error: str = "raise",
-               formulation: str | None = None,
-               outline: tuple[float, float] | None = None,
-               eco: tuple[int, int] | None = None,
+               context: SolveContext = SolveContext(),
                **options) -> list[Solution]:
     """Solve a vector of independent models through one batched entry point.
 
@@ -479,9 +417,7 @@ def solve_many(models: Sequence[Model], backend: str = "highs", *,
             ``"capture"`` converts a crashed item into a synthetic ERROR
             :class:`~repro.milp.solution.Solution` (the differential
             fuzzer's mode — a crash is a finding, not an abort).
-        formulation: as :func:`solve`, applied to every instance.
-        outline: as :func:`solve`, applied to every instance.
-        eco: as :func:`solve`, applied to every instance.
+        context: as :func:`solve`, applied to every instance.
         **options: backend options forwarded to every instance.
 
     Returns:
@@ -515,8 +451,7 @@ def solve_many(models: Sequence[Model], backend: str = "highs", *,
                 solutions[i] = solve(model, backend=backend,
                                      presolve=presolve, warm_start=warm,
                                      symmetry_groups=sym, cache=cache,
-                                     form=form, formulation=formulation,
-                                     outline=outline, eco=eco, **options)
+                                     form=form, context=context, **options)
             except Exception as exc:  # noqa: BLE001 — per-item capture
                 if on_error != "capture":
                     raise
@@ -524,33 +459,16 @@ def solve_many(models: Sequence[Model], backend: str = "highs", *,
     else:
         cache_keys: list[str | None] = [None] * n
         if cache is not None:
-            from repro.milp import cache as cache_mod
-
             for i, form in enumerate(forms):
-                started = time.perf_counter()
-                cache_keys[i] = cache_mod.canonical_form_key(form, context=(
-                    backend, bool(presolve), warm_list[i] is not None,
-                    cache_mod._q(float(options.get("mip_rel_gap", 1e-4))),
-                    cache_mod._q(float(options.get("int_tol", 1e-6))),
-                    formulation, _outline_context(outline),
-                    _eco_context(eco)))
-                key_seconds = time.perf_counter() - started
-                cache.stats.key_seconds += key_seconds
-                solutions[i] = cache_mod.serve_cached(
-                    cache, cache_keys[i], model_list[i], forms[i],
-                    int_tol=float(options.get("int_tol", 1e-6)),
-                    mip_rel_gap=float(options.get("mip_rel_gap", 1e-4)),
-                    key_seconds=key_seconds)
-                if solutions[i] is not None:
-                    _stamp_formulation(solutions[i], formulation)
-                    _stamp_outline(solutions[i], outline)
-                    _stamp_eco(solutions[i], eco)
+                cache_keys[i], _seconds, solutions[i] = _lookup(
+                    cache, model_list[i], form, backend, presolve=presolve,
+                    warm_started=warm_list[i] is not None, context=context,
+                    options=options)
         pending = [i for i in range(n) if solutions[i] is None]
         payloads = [{
             "model": model_list[i], "backend": backend, "presolve": presolve,
             "warm_start": warm_list[i], "symmetry_groups": sym_list[i],
-            "options": options, "on_error": on_error,
-            "formulation": formulation, "outline": outline, "eco": eco,
+            "options": options, "on_error": on_error, "context": context,
         } for i in pending]
         packed = parallel_map(_batch_worker, payloads, workers=n_workers)
         for i, doc in zip(pending, packed):

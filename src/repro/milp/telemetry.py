@@ -14,12 +14,88 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-#: The default non-overlap encoding (the paper's big-M formulation).  It is
-#: the one every golden document was recorded under, so provenance treats it
-#: as the unmarked case: None in memory, absent in serialized telemetry.
-#: Mirrors the first entry of :data:`repro.core.config.FORMULATIONS` (the
-#: config layer sits above this module, so the name is duplicated here).
-DEFAULT_FORMULATION = "bigm"
+#: Registered non-overlap formulations (the ``formulation`` axis).
+#:
+#: ``"bigm"`` is the paper's eq. (2) encoding: two binaries per pair and four
+#: global big-M rows.  ``"unary"`` is the Huchette–Dey–Vielma-style unary
+#: encoding: four one-hot direction indicators per pair with per-direction
+#: tightened big-Ms plus valid inequalities that strengthen the LP
+#: relaxation.  Both describe the same feasible geometry, so optimal
+#: objectives are identical — the cross-formulation parity suite pins that
+#: down.
+FORMULATIONS: tuple[str, ...] = ("bigm", "unary")
+
+#: The default encoding.  Every golden document was recorded under it, so
+#: provenance treats it as the unmarked case (see :class:`SolveContext`).
+DEFAULT_FORMULATION = FORMULATIONS[0]
+
+
+@dataclass(frozen=True)
+class SolveContext:
+    """How a model was built: the facts a solve records beside the model.
+
+    Two models that canonicalize alike can still come from different
+    builds — a fixed outline or an ECO window changes which optimum the
+    caller may reuse — so the context is folded into the solve-cache key
+    (:meth:`key_items`) and recorded as telemetry provenance
+    (:meth:`provenance`).  A new scenario axis is one more field here.
+
+    Attributes:
+        formulation: the non-overlap encoding that produced the model (one
+            of :data:`FORMULATIONS`), or None for a model without one.
+        outline: the fixed die ``(W, H)`` the model was built against, or
+            None for an open-outline model.
+        eco: ``(window size, frozen count)`` of a windowed incremental-ECO
+            subform (:func:`repro.core.eco.solve_eco`), or None.
+    """
+
+    formulation: str | None = None
+    outline: tuple[float, float] | None = None
+    eco: tuple[int, int] | None = None
+
+    def key_items(self) -> tuple:
+        """The context's entries of the solve-cache key.
+
+        The outline is quantized like the key's tolerance entries, so float
+        noise never splits equal dies.  ``formulation=None`` and the default
+        encoding stay distinct entries: on-disk cache tiers are keyed that
+        way.
+        """
+        from repro.milp.cache import _q
+
+        return (self.formulation,
+                None if self.outline is None
+                else tuple(_q(float(v)) for v in self.outline),
+                None if self.eco is None else tuple(int(v) for v in self.eco))
+
+    def provenance(self) -> dict[str, Any]:
+        """The context as telemetry records it.
+
+        One omit-at-default rule: an entry at its default — None, and the
+        default encoding — is left out, so documents recorded before an
+        axis existed (the committed goldens among them) keep their bytes.
+        """
+        doc = {
+            "formulation": None if self.formulation == DEFAULT_FORMULATION
+            else self.formulation,
+            "outline": None if self.outline is None
+            else [float(v) for v in self.outline],
+            "eco": None if self.eco is None
+            else {"window": int(self.eco[0]), "frozen": int(self.eco[1])},
+        }
+        return {name: value for name, value in doc.items()
+                if value is not None}
+
+    @classmethod
+    def from_provenance(cls, doc: dict[str, Any]) -> "SolveContext":
+        """Rebuild the recorded context from :meth:`provenance` output (or
+        any document carrying its entries)."""
+        outline, eco = doc.get("outline"), doc.get("eco")
+        return cls(formulation=doc.get("formulation"),
+                   outline=None if outline is None
+                   else (float(outline[0]), float(outline[1])),
+                   eco=None if eco is None
+                   else (int(eco["window"]), int(eco["frozen"])))
 
 
 @dataclass(frozen=True)
@@ -68,21 +144,8 @@ class SolveTelemetry:
             :func:`repro.milp.solvers.registry.solve_many` —
             ``{"size": int, "index": int}`` — else None.  Also stripped by
             canonicalization.
-        formulation: non-overlap encoding that produced the model
-            (:data:`repro.core.config.FORMULATIONS`) when the caller
-            declared a non-default one, else None (None *means* the default
-            :data:`DEFAULT_FORMULATION`).  Never serialized at the default
-            and removed by canonicalization, so golden documents predating
-            the axis stay byte-identical and round-trips are exact.
-        outline: fixed die ``(width, height)`` when the solve ran under a
-            fixed-outline cap, else None (None *means* the open-outline
-            mode).  Omitted from serialization when None, so open-outline
-            documents predating the axis stay byte-identical.
-        eco: incremental-ECO provenance when the solve was a windowed
-            re-floorplan subproblem (:func:`repro.core.eco.solve_eco`) —
-            ``{"window": int, "frozen": int}`` — else None (None *means*
-            a non-ECO solve).  Omitted from serialization when None, so
-            documents predating the ECO axis stay byte-identical.
+        context: how the model was built (:class:`SolveContext`), as
+            :meth:`record_context` records it.
     """
 
     backend: str = ""
@@ -99,19 +162,22 @@ class SolveTelemetry:
     cache: dict[str, Any] | None = None
     frontier: dict[str, Any] | None = None
     batch: dict[str, Any] | None = None
-    formulation: str | None = None
-    outline: tuple[float, float] | None = None
-    eco: dict[str, Any] | None = None
+    context: SolveContext = SolveContext()
 
     def record_incumbent(self, seconds: float, objective: float) -> None:
         """Append one incumbent improvement."""
         self.incumbents.append(IncumbentEvent(seconds, objective))
 
+    def record_context(self, context: SolveContext) -> None:
+        """Record how the model was built, in the form a serialization
+        round trip restores (the default encoding reads back as None)."""
+        self.context = SolveContext.from_provenance(context.provenance())
+
     def to_dict(self) -> dict[str, Any]:
         """A JSON-safe representation (``inf`` gaps become ``None``)."""
         import math
 
-        out = {
+        return {
             "backend": self.backend,
             "status": self.status,
             "lp_calls": self.lp_calls,
@@ -126,18 +192,8 @@ class SolveTelemetry:
             "cache": self.cache,
             "frontier": self.frontier,
             "batch": self.batch,
+            **self.context.provenance(),
         }
-        # Omitted when absent or at the default encoding, so serialized
-        # documents recorded before the formulation axis existed stay
-        # byte-identical (same discipline as the config serializer).
-        if (self.formulation is not None
-                and self.formulation != DEFAULT_FORMULATION):
-            out["formulation"] = self.formulation
-        if self.outline is not None:
-            out["outline"] = [self.outline[0], self.outline[1]]
-        if self.eco is not None:
-            out["eco"] = self.eco
-        return out
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SolveTelemetry":
@@ -159,8 +215,5 @@ class SolveTelemetry:
             cache=data.get("cache"),
             frontier=data.get("frontier"),
             batch=data.get("batch"),
-            formulation=data.get("formulation"),
-            outline=(tuple(float(v) for v in data["outline"])
-                     if data.get("outline") is not None else None),
-            eco=data.get("eco"),
+            context=SolveContext.from_provenance(data),
         )

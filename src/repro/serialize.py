@@ -8,6 +8,7 @@ configuration that produced it).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any
@@ -235,6 +236,19 @@ def _rect_from_list(values: list[float]) -> Rect:
     return Rect(*values)
 
 
+#: Config fields written only when they differ from their dataclass
+#: default, in document order.  Each was added after documents that omit it
+#: — the committed goldens among them — so those keep their bytes, and
+#: FloorplanConfig restores the default on load.
+_WRITTEN_WHEN_SET = ("formulation", "outline", "outline_aspect",
+                     "whitespace_target", "eco_margin", "eco_quality_bound",
+                     "eco_max_levels", "int_tol", "node_limit", "lp_engine",
+                     "record_snapshots")
+_CONFIG_DEFAULTS = {f.name: f.default
+                    for f in dataclasses.fields(FloorplanConfig)
+                    if f.name in _WRITTEN_WHEN_SET}
+
+
 def _config_to_dict(config: FloorplanConfig) -> dict[str, Any]:
     out = {
         "chip_width": config.chip_width,
@@ -268,27 +282,10 @@ def _config_to_dict(config: FloorplanConfig) -> dict[str, Any]:
         "solve_cache": config.solve_cache,
         "cache_dir": config.cache_dir,
     }
-    # Omitted at the default so documents recorded before the formulation
-    # axis existed — including the committed goldens — keep round-tripping
-    # byte-identically; FloorplanConfig restores the default on load.
-    if config.formulation != "bigm":
-        out["formulation"] = config.formulation
-    # The outline trio follows the same omit-at-default discipline: absent
-    # means the open-outline mode every pre-outline document was recorded in.
-    if config.outline is not None:
-        out["outline"] = [config.outline[0], config.outline[1]]
-    if config.outline_aspect is not None:
-        out["outline_aspect"] = config.outline_aspect
-    if config.whitespace_target is not None:
-        out["whitespace_target"] = config.whitespace_target
-    # The ECO knobs too: absent means the defaults every pre-ECO document
-    # (including the committed goldens) was recorded under.
-    if config.eco_margin != 1.0:
-        out["eco_margin"] = config.eco_margin
-    if config.eco_quality_bound != 1.5:
-        out["eco_quality_bound"] = config.eco_quality_bound
-    if config.eco_max_levels != 2:
-        out["eco_max_levels"] = config.eco_max_levels
+    for name in _WRITTEN_WHEN_SET:
+        value = getattr(config, name)
+        if value != _CONFIG_DEFAULTS[name]:
+            out[name] = list(value) if isinstance(value, tuple) else value
     return out
 
 

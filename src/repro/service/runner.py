@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable
 
 from repro.core.config import FloorplanConfig
@@ -77,37 +77,33 @@ CONFIG_FIELDS = frozenset(
     if f.name != "technology" and not f.name.startswith("service_"))
 
 
-def config_from_request(doc: dict[str, Any] | None, *,
-                        cache_dir: str | None = None,
-                        formulation: str | None = None,
-                        outline: tuple[float, float] | None = None
-                        ) -> FloorplanConfig:
+def config_from_request(doc: dict[str, Any] | None,
+                        defaults: FloorplanConfig) -> FloorplanConfig:
     """Build the run configuration of one job.
 
     Args:
         doc: the submission's ``config`` object (may be None/empty);
             unknown keys raise :class:`BadRequest`.
-        cache_dir: the service's shared warm-tier directory, applied when
-            the submission names none — this is what makes every worker
-            (and worker process) hit the same on-disk cache.
-        formulation: the server's default non-overlap encoding
-            (``repro-floorplan serve --formulation``), applied when the
-            submission names none.
-        outline: the server's default fixed die
-            (``repro-floorplan serve --outline``), applied when the
-            submission declares no outline of its own.
+        defaults: the server's configuration.  Its shared warm-tier
+            ``cache_dir`` — what makes every worker (and worker process)
+            hit the same on-disk cache — and its default ``formulation``
+            apply when the submission names none.  Its fixed ``outline``
+            (``repro-floorplan serve --outline``) applies when the
+            submission sets no outline, outline knob or chip width of its
+            own; job kinds it does not apply to pass ``defaults`` without
+            it.
     """
     doc = dict(doc or {})
     unknown = set(doc) - CONFIG_FIELDS
     if unknown:
         raise BadRequest(f"unknown config fields: {sorted(unknown)}")
-    doc.setdefault("cache_dir", cache_dir)
-    if formulation is not None:
-        doc.setdefault("formulation", formulation)
-    if outline is not None and "outline" not in doc \
+    doc.setdefault("cache_dir", defaults.cache_dir)
+    doc.setdefault("formulation", defaults.formulation)
+    if defaults.outline is not None and "outline" not in doc \
             and doc.get("outline_aspect") is None \
-            and doc.get("whitespace_target") is None:
-        doc["outline"] = [outline[0], outline[1]]
+            and doc.get("whitespace_target") is None \
+            and doc.get("chip_width") is None:
+        doc["outline"] = list(defaults.outline)
     try:
         return FloorplanConfig(**doc)
     except (ValueError, TypeError) as exc:
@@ -168,10 +164,7 @@ def _summary(plan) -> dict[str, Any]:
 
 
 def run_floorplan(request: dict[str, Any], ctx: JobContext,
-                  cache_dir: str | None = None,
-                  formulation: str | None = None,
-                  outline: tuple[float, float] | None = None
-                  ) -> dict[str, Any]:
+                  defaults: FloorplanConfig) -> dict[str, Any]:
     """The ``floorplan`` kind: one netlist through the full pipeline.
 
     An outline-mode configuration (its own, or the server default) routes
@@ -183,8 +176,7 @@ def run_floorplan(request: dict[str, Any], ctx: JobContext,
     from repro.serialize import config_to_dict, floorplan_to_dict
 
     netlist = _parse_netlist(request)
-    config = config_from_request(request.get("config"), cache_dir=cache_dir,
-                                 formulation=formulation, outline=outline)
+    config = config_from_request(request.get("config"), defaults)
 
     def on_step(step) -> None:
         ctx.check()
@@ -215,31 +207,34 @@ def run_floorplan(request: dict[str, Any], ctx: JobContext,
     }
 
 
+def _width_search_config(request: dict[str, Any],
+                         defaults: FloorplanConfig) -> FloorplanConfig:
+    """The configuration of a ``width_search`` job.  The width search is
+    inherently open-outline (the chip width is what it sweeps), so the
+    server's default outline does not apply and an outline-mode config is
+    rejected."""
+    config = config_from_request(request.get("config"),
+                                 replace(defaults, outline=None))
+    if config.outline_mode:
+        raise BadRequest("width_search is an open-outline job; submit a "
+                         "'floorplan' job for fixed-outline runs")
+    return config
+
+
 def run_width_search(request: dict[str, Any], ctx: JobContext,
-                     cache_dir: str | None = None,
-                     formulation: str | None = None,
-                     outline: tuple[float, float] | None = None
-                     ) -> dict[str, Any]:
+                     defaults: FloorplanConfig) -> dict[str, Any]:
     """The ``width_search`` kind: shard candidate chip widths across
     processes and keep the best floorplan.
 
     Candidate workers are separate processes (``repro.parallel``), so their
     solves share warmth only through the on-disk cache tier — exactly the
     service's shared-cache architecture in miniature.
-
-    The width search is inherently an open-outline job (the chip width is
-    what it sweeps), so an outline-mode config is rejected and the server's
-    default outline is deliberately *not* applied here.
     """
     from repro.core.width_search import search_chip_width
     from repro.serialize import config_to_dict, floorplan_to_dict
 
     netlist = _parse_netlist(request)
-    config = config_from_request(request.get("config"), cache_dir=cache_dir,
-                                 formulation=formulation)
-    if config.outline_mode:
-        raise BadRequest("width_search is an open-outline job; submit a "
-                         "'floorplan' job for fixed-outline runs")
+    config = _width_search_config(request, defaults)
     params = dict(request.get("width_search") or {})
     unknown = set(params) - {"n_candidates", "spread", "aspect_weight",
                              "workers"}
@@ -279,19 +274,17 @@ def run_width_search(request: dict[str, Any], ctx: JobContext,
 
 
 def run_solve(request: dict[str, Any], ctx: JobContext,
-              cache_dir: str | None = None,
-              formulation: str | None = None,
-              outline: tuple[float, float] | None = None) -> dict[str, Any]:
+              defaults: FloorplanConfig) -> dict[str, Any]:
     """The ``solve`` kind: a batch of raw MILP models through
     :func:`~repro.milp.solvers.registry.solve_many`.
 
-    The server's default ``formulation`` and ``outline`` are ignored here —
-    raw model documents were built by the client, so the server cannot know
+    Of the server ``defaults`` only the shared cache dir applies here — raw
+    model documents were built by the client, so the server cannot know
     their encoding or die; a request-level ``"formulation"`` is recorded as
     provenance.
     """
-    from repro.core.config import FORMULATIONS
     from repro.milp.solvers.registry import available_backends, solve_many
+    from repro.milp.telemetry import FORMULATIONS, SolveContext
     from repro.serialize import model_from_dict
 
     docs = request.get("models")
@@ -316,7 +309,7 @@ def run_solve(request: dict[str, Any], ctx: JobContext,
     if request.get("solve_cache", True):
         from repro.milp.cache import get_cache
 
-        cache = get_cache(request.get("cache_dir") or cache_dir)
+        cache = get_cache(request.get("cache_dir") or defaults.cache_dir)
     options: dict[str, Any] = {}
     for key in ("time_limit", "mip_rel_gap"):
         if request.get(key) is not None:
@@ -327,7 +320,8 @@ def run_solve(request: dict[str, Any], ctx: JobContext,
                            presolve=bool(request.get("presolve", True)),
                            cache=cache,
                            workers=request.get("workers", 1),
-                           formulation=request_formulation,
+                           context=SolveContext(
+                               formulation=request_formulation),
                            on_error="capture", **options)
     out = []
     for index, (model, solution) in enumerate(zip(models, solutions)):
@@ -374,9 +368,7 @@ def _parse_eco(request: dict[str, Any]):
 
 
 def run_eco(request: dict[str, Any], ctx: JobContext,
-            cache_dir: str | None = None,
-            formulation: str | None = None,
-            outline: tuple[float, float] | None = None) -> dict[str, Any]:
+            defaults: FloorplanConfig) -> dict[str, Any]:
     """The ``eco`` kind: incrementally re-floorplan a certified baseline
     under a structured netlist delta (:func:`repro.core.eco.solve_eco`).
 
@@ -384,7 +376,8 @@ def run_eco(request: dict[str, Any], ctx: JobContext,
     document; a ``config`` object overrides the baseline's own embedded
     configuration (absent, the run uses the baseline's verbatim — the
     server's shared cache tier and default formulation only apply to an
-    explicit config, mirroring how the baseline itself was produced).
+    explicit config, mirroring how the baseline itself was produced; the
+    server's default outline never applies).
     Infeasibility comes back as a *completed* job whose result carries the
     structured ``INFEASIBLE_ECO`` status — an answer, not an error.
     """
@@ -394,8 +387,7 @@ def run_eco(request: dict[str, Any], ctx: JobContext,
     baseline, delta = _parse_eco(request)
     if request.get("config") is not None:
         config = config_from_request(request.get("config"),
-                                     cache_dir=cache_dir,
-                                     formulation=formulation)
+                                     replace(defaults, outline=None))
     else:
         config = baseline.config
 
@@ -430,9 +422,7 @@ JOB_RUNNERS: dict[str, Callable[..., dict[str, Any]]] = {
 
 def validate_request(kind: str, request: dict[str, Any], *,
                      runners: dict[str, Callable[..., dict[str, Any]]],
-                     cache_dir: str | None = None,
-                     formulation: str | None = None,
-                     outline: tuple[float, float] | None = None) -> None:
+                     defaults: FloorplanConfig) -> None:
     """Reject a malformed submission at submit time (HTTP 400), before it
     costs a queue slot — execution re-parses, so this only checks what is
     cheap to check."""
@@ -441,16 +431,10 @@ def validate_request(kind: str, request: dict[str, Any], *,
                          f"available: {sorted(runners)}")
     if kind == "floorplan":
         _parse_netlist(request)
-        config_from_request(request.get("config"), cache_dir=cache_dir,
-                            formulation=formulation, outline=outline)
+        config_from_request(request.get("config"), defaults)
     elif kind == "width_search":
         _parse_netlist(request)
-        config = config_from_request(request.get("config"),
-                                     cache_dir=cache_dir,
-                                     formulation=formulation)
-        if config.outline_mode:
-            raise BadRequest("width_search is an open-outline job; submit "
-                             "a 'floorplan' job for fixed-outline runs")
+        _width_search_config(request, defaults)
     elif kind == "solve":
         docs = request.get("models")
         if not isinstance(docs, list) or not docs:
@@ -458,5 +442,5 @@ def validate_request(kind: str, request: dict[str, Any], *,
     elif kind == "eco":
         _parse_eco(request)
         if request.get("config") is not None:
-            config_from_request(request.get("config"), cache_dir=cache_dir,
-                                formulation=formulation)
+            config_from_request(request.get("config"),
+                                replace(defaults, outline=None))

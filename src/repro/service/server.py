@@ -60,9 +60,8 @@ _CHILD_POLL_SECONDS = 0.05
 
 
 def _child_main(runner: Callable[..., dict[str, Any]],
-                request: dict[str, Any], cache_dir: str | None,
-                formulation: str | None,
-                outline: tuple[float, float] | None, conn) -> None:
+                request: dict[str, Any], defaults: FloorplanConfig,
+                conn) -> None:
     """Entry point of a forked worker process.
 
     Sends ``("event", type, data)`` tuples while running and exactly one
@@ -77,8 +76,7 @@ def _child_main(runner: Callable[..., dict[str, Any]],
     ctx = JobContext(emit=lambda event_type, **data:
                      conn.send(("event", event_type, data)))
     try:
-        result = runner(request, ctx, cache_dir=cache_dir,
-                        formulation=formulation, outline=outline)
+        result = runner(request, ctx, defaults)
         conn.send(("result", result))
     except BadRequest as exc:
         conn.send(("error", {"kind": "bad-request", "message": str(exc)}))
@@ -94,13 +92,13 @@ class FloorplanService:
     """The job engine behind ``repro-floorplan serve``.
 
     Args:
-        config: service knobs (``service_*`` fields) plus the shared
-            ``cache_dir`` and default ``formulation`` applied to jobs that
-            name none.
+        config: service knobs (``service_*`` fields), and the job defaults
+            — shared ``cache_dir``, default ``formulation`` and ``outline``
+            — that :func:`~repro.service.runner.config_from_request`
+            applies per job kind.
         runners: overrides/extends the default kind registry
             (:data:`~repro.service.runner.JOB_RUNNERS`); every runner is
-            called as ``runner(request, ctx, cache_dir=..., formulation=...,
-            outline=...)``.
+            called as ``runner(request, ctx, config)``.
     """
 
     def __init__(self, config: FloorplanConfig | None = None, *,
@@ -118,7 +116,6 @@ class FloorplanService:
         self._deduplicated = 0
         self._executed = 0
         self._requeued = 0
-        self._started_order: list[str] = []
         self._running = False
         self._threads: list[threading.Thread] = []
 
@@ -173,9 +170,7 @@ class FloorplanService:
             if deadline_seconds < 0:
                 raise BadRequest("'deadline_seconds' must be >= 0")
         validate_request(kind, doc, runners=self.runners,
-                         cache_dir=self.config.cache_dir,
-                         formulation=self.config.formulation,
-                         outline=self.config.outline)
+                         defaults=self.config)
         key = request_key(doc)
         with self._lock:
             self._submissions += 1
@@ -224,7 +219,6 @@ class FloorplanService:
                 "queued_now": len(self._queue),
                 "workers": self.config.service_workers,
                 "execution": self.config.service_execution,
-                "started_order": list(self._started_order),
             }
 
     # -- execution ------------------------------------------------------------
@@ -241,7 +235,6 @@ class FloorplanService:
             attempt = job.attempts
         with self._lock:
             self._executed += 1
-            self._started_order.append(job.id)
         job.transition(JobStatus.RUNNING, event="started", attempt=attempt)
         runner = self.runners[job.kind]
         if self._process_mode():
@@ -257,10 +250,7 @@ class FloorplanService:
         ctx = JobContext(emit=job.emit, cancel_event=job.cancel_requested,
                          deadline=job.deadline)
         try:
-            result = runner(job.request, ctx,
-                            cache_dir=self.config.cache_dir,
-                            formulation=self.config.formulation,
-                            outline=self.config.outline)
+            result = runner(job.request, ctx, self.config)
         except JobCancelled:
             job.transition(JobStatus.CANCELLED, error={
                 "kind": "cancelled", "message": "cancelled while running"})
@@ -282,8 +272,7 @@ class FloorplanService:
         mp = multiprocessing.get_context("fork")
         parent_conn, child_conn = mp.Pipe(duplex=False)
         proc = mp.Process(target=_child_main,
-                          args=(runner, job.request, self.config.cache_dir,
-                                self.config.formulation, self.config.outline,
+                          args=(runner, job.request, self.config,
                                 child_conn),
                           daemon=True)
         proc.start()

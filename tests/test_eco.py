@@ -22,7 +22,7 @@ from repro.core import (
 )
 from repro.milp.model import Model
 from repro.milp.solvers.registry import solve
-from repro.milp.telemetry import SolveTelemetry
+from repro.milp.telemetry import SolveContext, SolveTelemetry
 from repro.netlist.module import Module
 from repro.netlist.net import Net
 from repro.netlist.netlist import Netlist
@@ -309,15 +309,16 @@ def _tiny_model() -> Model:
 
 class TestProvenance:
     def test_solve_stamps_eco_telemetry(self):
-        solution = solve(_tiny_model(), backend="highs", eco=(2, 7))
-        assert solution.telemetry.eco == {"window": 2, "frozen": 7}
+        solution = solve(_tiny_model(), backend="highs",
+                         context=SolveContext(eco=(2, 7)))
+        assert solution.telemetry.context.eco == (2, 7)
         doc = solution.telemetry.to_dict()
         assert doc["eco"] == {"window": 2, "frozen": 7}
-        assert SolveTelemetry.from_dict(doc).eco == {"window": 2, "frozen": 7}
+        assert SolveTelemetry.from_dict(doc).context.eco == (2, 7)
 
     def test_non_eco_solves_omit_the_field(self):
         solution = solve(_tiny_model(), backend="highs")
-        assert solution.telemetry.eco is None
+        assert solution.telemetry.context.eco is None
         assert "eco" not in solution.telemetry.to_dict()
 
     def test_eco_context_splits_the_cache_key(self, tmp_path):
@@ -328,9 +329,11 @@ class TestProvenance:
         cache = SolveCache(tmp_path)
         solve(_tiny_model(), backend="highs", cache=cache)
         assert cache.stats.misses == 1
-        solve(_tiny_model(), backend="highs", cache=cache, eco=(1, 2))
+        solve(_tiny_model(), backend="highs", cache=cache,
+              context=SolveContext(eco=(1, 2)))
         assert cache.stats.misses == 2
-        solve(_tiny_model(), backend="highs", cache=cache, eco=(1, 2))
+        solve(_tiny_model(), backend="highs", cache=cache,
+              context=SolveContext(eco=(1, 2)))
         assert cache.stats.hits == 1 and cache.stats.misses == 2
 
     def test_windowed_rung_counts_binaries_and_obstacles(self, baseline):

@@ -146,12 +146,12 @@ class TestDegradedInputs:
         assert plan.chip_height <= 1000.0
 
 
-def _always_dies(request, ctx, cache_dir=None, formulation=None, **kwargs):
+def _always_dies(request, ctx, defaults):
     """A worker that dies mid-job without reporting anything."""
     os._exit(3)
 
 
-def _dies_once(request, ctx, cache_dir=None, formulation=None, **kwargs):
+def _dies_once(request, ctx, defaults):
     """Dies on the first attempt, succeeds on the requeued one (the marker
     file carries the attempt count across processes)."""
     marker = request["marker"]
@@ -220,7 +220,7 @@ class TestServiceWorkerDeath:
         assert stats["requeued"] == 1
 
 
-def _eco_dies_once(request, ctx, cache_dir=None, formulation=None, **kwargs):
+def _eco_dies_once(request, ctx, defaults):
     """An ECO worker that dies mid-job on the first attempt and runs the
     real runner on the requeued one."""
     from repro.service.runner import run_eco
@@ -230,8 +230,7 @@ def _eco_dies_once(request, ctx, cache_dir=None, formulation=None, **kwargs):
         with open(marker, "w") as f:
             f.write("died\n")
         os._exit(7)
-    return run_eco(request, ctx, cache_dir=cache_dir,
-                   formulation=formulation, **kwargs)
+    return run_eco(request, ctx, defaults)
 
 
 class TestServiceEcoRequeueIdempotency:

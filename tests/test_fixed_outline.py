@@ -126,14 +126,14 @@ class TestAugmentationCap:
     def test_telemetry_carries_outline_provenance(self):
         plan = Floorplanner(_netlist(), _config()).run()
         for step in plan.trace.steps:
-            assert step.telemetry.outline == (8.0, 10.0)
+            assert step.telemetry.context.outline == (8.0, 10.0)
 
     def test_open_outline_telemetry_has_no_outline(self):
         plan = Floorplanner(_netlist(), FloorplanConfig(
             seed_size=3, group_size=2, use_envelopes=False,
             solve_cache=False)).run()
         for step in plan.trace.steps:
-            assert step.telemetry.outline is None
+            assert step.telemetry.context.outline is None
 
 
 class TestFeasibilitySearch:
@@ -277,6 +277,29 @@ class TestServiceParity:
         assert code == 200
         assert res["result"]["outline"]["status"] == FEASIBLE
         assert res["result"]["outline"]["outline"] == [8.0, 10.0]
+
+    def test_server_default_outline_yields_to_a_job_chip_width(self,
+                                                               tmp_path):
+        """A job that fixes only its chip width runs open-outline at that
+        width; the server's default die does not conflict with it."""
+        netlist = _netlist()
+        service_config = FloorplanConfig(
+            outline=(8.0, 10.0), cache_dir=str(tmp_path / "cache"))
+        with running_service(service_config) as (_service, client):
+            code, doc = client.submit({
+                "kind": "floorplan",
+                "netlist": netlist_to_dict(netlist),
+                "config": {"chip_width": 7.0, "seed_size": 3,
+                           "group_size": 2, "use_envelopes": False,
+                           "solve_cache": False},
+            })
+            assert code == 202, doc
+            code, res = client.result(doc["job_id"], wait=120.0)
+        assert code == 200
+        assert "outline" not in res["result"]
+        assert "outline" not in res["result"]["config"]
+        assert floorplan_from_dict(res["result"]["floorplan"]).chip_width \
+            == 7.0
 
     def test_width_search_rejects_outline_configs(self, tmp_path):
         netlist = _netlist()

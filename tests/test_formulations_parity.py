@@ -33,14 +33,15 @@ from hypothesis import strategies as st
 
 from repro.check.certificate import check_certificate
 from repro.check.fuzz import backends_for
-from repro.core.config import FORMULATIONS, FloorplanConfig, Objective
+from repro.core.config import FloorplanConfig, Objective
 from repro.core.floorplanner import Floorplanner
 from repro.core.formulation import SubproblemBuilder
 from repro.eval.report import canonicalize_telemetry, telemetry_report
 from repro.geometry.rect import Rect
 from repro.milp.solution import SolveStatus
 from repro.milp.solvers.registry import solve
-from repro.milp.telemetry import DEFAULT_FORMULATION
+from repro.milp.telemetry import (DEFAULT_FORMULATION, FORMULATIONS,
+                                  SolveContext)
 from repro.netlist.mcnc import apte_like
 from repro.netlist.module import Module
 from repro.serialize import floorplan_to_dict
@@ -62,7 +63,7 @@ def _solve_grid(build_window, *, time_limit: float = 30.0) -> dict:
         builder = SubproblemBuilder(window, obstacles, chip_width, config)
         for backend in backends_for(builder.model):
             solution = solve(builder.model, backend=backend,
-                             formulation=formulation,
+                             context=SolveContext(formulation=formulation),
                              time_limit=time_limit)
             key = (formulation, backend)
             assert solution.status is SolveStatus.OPTIMAL, \
@@ -182,7 +183,7 @@ class TestPipeline:
         # (None is the unmarked default encoding)
         for step in plan.trace.steps:
             assert step.telemetry is not None
-            assert (step.telemetry.formulation
+            assert (step.telemetry.context.formulation
                     or DEFAULT_FORMULATION) == formulation
 
     @pytest.mark.parametrize("formulation", FORMULATIONS)

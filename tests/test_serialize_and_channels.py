@@ -1,10 +1,11 @@
 """Tests for JSON persistence, channel extraction, scaling analysis, and
 the re-linearization loop."""
 
+import json
 
 import pytest
 
-from repro.core.config import FloorplanConfig, Linearization
+from repro.core.config import FloorplanConfig, Linearization, Objective, Ordering
 from repro.core.flexible import linearize_at
 from repro.core.floorplanner import floorplan
 from repro.core.placement import Placement
@@ -23,6 +24,8 @@ from repro.routing.graph import build_channel_graph
 from repro.routing.router import GlobalRouter
 from repro.routing.technology import Technology
 from repro.serialize import (
+    config_from_dict,
+    config_to_dict,
     floorplan_from_dict,
     floorplan_to_dict,
     load_floorplan,
@@ -71,6 +74,33 @@ class TestFloorplanSerialization:
         assert back.config.use_envelopes
         assert back.config.technology.pitch_h == 0.3
         assert back.config.linearization is Linearization.TANGENT
+
+        # Every field a job may set survives the codec at a non-default
+        # value (the service re-solves loaded plans under their config).
+        from repro.service.runner import CONFIG_FIELDS
+
+        changed = dict(
+            chip_width=9.0, whitespace_factor=1.5, chip_aspect=2.0,
+            outline=(9.0, 7.0), outline_aspect=1.5, whitespace_target=0.2,
+            seed_size=3, group_size=2, objective=Objective.PERIMETER,
+            wirelength_weight=0.5, ordering=Ordering.RANDOM, ordering_seed=7,
+            allow_rotation=False, linearization=Linearization.TANGENT,
+            relinearization_rounds=2, use_envelopes=True,
+            use_covering_rectangles=False, covering_style="vertical",
+            merge_covering=False, legalize=False, record_snapshots=True,
+            backend="bnb", formulation="unary", subproblem_time_limit=5.0,
+            mip_rel_gap=1e-3, int_tol=1e-5, node_limit=500,
+            lp_engine="simplex", certify=True, presolve=False,
+            warm_start=False, solve_cache=False, cache_dir="plans/cache",
+            eco_margin=2.0, eco_quality_bound=2.0, eco_max_levels=3)
+        assert set(changed) == CONFIG_FIELDS
+        defaults = FloorplanConfig()
+        assert [name for name, value in changed.items()
+                if getattr(defaults, name) == value] == []
+        doc = json.loads(json.dumps(config_to_dict(FloorplanConfig(**changed))))
+        back_config = config_from_dict(doc)
+        assert {name: getattr(back_config, name) for name in changed} \
+            == changed
 
     def test_file_roundtrip(self, tmp_path):
         nl = random_netlist(5, seed=94)

@@ -96,7 +96,7 @@ class TestConcurrentCoalescing:
         to it (the gate guarantees the in-flight window)."""
         gate = threading.Event()
 
-        def blocked(request, ctx, cache_dir=None, formulation=None, **kwargs):
+        def blocked(request, ctx, defaults):
             while not gate.wait(timeout=0.05):
                 ctx.check()
             return {"echo": request["payload"]}
@@ -138,7 +138,7 @@ class TestConcurrentCoalescing:
         assert stats["executed"] == 2
 
     def test_failed_jobs_are_not_coalesced_into(self):
-        def boom(request, ctx, cache_dir=None, formulation=None, **kwargs):
+        def boom(request, ctx, defaults):
             raise RuntimeError("injected failure")
 
         with running_service(runners={"boom": boom}) as (_service, client):

@@ -36,6 +36,7 @@ from repro.milp.solvers.smt_dl import (
     supports_model,
     unsupported_reason,
 )
+from repro.milp.telemetry import DEFAULT_FORMULATION, SolveContext
 from repro.netlist.module import Module
 
 
@@ -115,13 +116,15 @@ class TestSolveBehavior:
     def test_optimal_parity_with_highs(self, formulation):
         builder = _rigid_builder(formulation)
         ref = solve(builder.model, backend="highs")
-        got = solve(builder.model, backend="smt", formulation=formulation)
+        got = solve(builder.model, backend="smt",
+                    context=SolveContext(formulation=formulation))
         assert got.status is SolveStatus.OPTIMAL
         assert got.objective == pytest.approx(ref.objective, abs=1e-6)
         assert got.backend == "smt"
         assert got.telemetry.lp_calls == 0
         # None is the unmarked default encoding
-        assert (got.telemetry.formulation or "bigm") == formulation
+        assert (got.telemetry.context.formulation
+                or DEFAULT_FORMULATION) == formulation
 
     def test_obstacles_parity(self):
         obstacles = [Rect(0.0, 0.0, 2.0, 2.0), Rect(5.0, 0.0, 2.0, 1.0)]

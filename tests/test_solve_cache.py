@@ -8,6 +8,7 @@ telemetry provenance, the poisoned-hit evict-and-resolve path).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -203,18 +204,20 @@ class TestRegistryIntegration:
         keys anyway, but the *same* structure solved under different
         declared formulations must never alias — the cached telemetry
         provenance (and any encoding-specific postsolve) would leak."""
+        from repro.milp.telemetry import SolveContext
+
         model = _small_model()
         cache = SolveCache()
         first = solve(model, backend="highs", cache=cache,
-                      formulation="bigm")
+                      context=SolveContext(formulation="bigm"))
         other = solve(model, backend="highs", cache=cache,
-                      formulation="unary")
+                      context=SolveContext(formulation="unary"))
         assert first.telemetry.cache["hit"] is False
         assert other.telemetry.cache["hit"] is False
         again = solve(model, backend="highs", cache=cache,
-                      formulation="unary")
+                      context=SolveContext(formulation="unary"))
         assert again.telemetry.cache["hit"] is True
-        assert again.telemetry.formulation == "unary"
+        assert again.telemetry.context.formulation == "unary"
 
     def test_formulation_context_splits_keys(self):
         form = _form()
@@ -227,40 +230,45 @@ class TestRegistryIntegration:
         An open-outline solve and a fixed-outline solve of the same
         structure reach different optima in general, so aliasing them
         would serve a stale result (and stale outline provenance)."""
+        from repro.milp.telemetry import SolveContext
+
         model = _small_model()
         cache = SolveCache()
         open_outline = solve(model, backend="highs", cache=cache)
         fixed = solve(model, backend="highs", cache=cache,
-                      outline=(10.0, 8.0))
+                      context=SolveContext(outline=(10.0, 8.0)))
         assert open_outline.telemetry.cache["hit"] is False
         assert fixed.telemetry.cache["hit"] is False
         again = solve(model, backend="highs", cache=cache,
-                      outline=(10.0, 8.0))
+                      context=SolveContext(outline=(10.0, 8.0)))
         assert again.telemetry.cache["hit"] is True
-        assert again.telemetry.outline == (10.0, 8.0)
-        assert open_outline.telemetry.outline is None
+        assert again.telemetry.context.outline == (10.0, 8.0)
+        assert open_outline.telemetry.context.outline is None
 
     def test_different_outlines_do_not_share_entries(self):
+        from repro.milp.telemetry import SolveContext
+
         model = _small_model()
         cache = SolveCache()
-        solve(model, backend="highs", cache=cache, outline=(10.0, 8.0))
+        solve(model, backend="highs", cache=cache,
+              context=SolveContext(outline=(10.0, 8.0)))
         other = solve(model, backend="highs", cache=cache,
-                      outline=(10.0, 9.0))
+                      context=SolveContext(outline=(10.0, 9.0)))
         assert other.telemetry.cache["hit"] is False
 
     def test_outline_context_splits_keys(self):
-        from repro.milp.solvers.registry import _outline_context
+        from repro.milp.telemetry import SolveContext
 
         form = _form()
-        base = ("highs", True, False, 0, 0, "bigm")
+        base = ("highs", True, False, 0, 0)
         open_key = canonical_form_key(
-            form, context=base + (_outline_context(None),))
+            form, context=base + SolveContext("bigm").key_items())
         fixed_key = canonical_form_key(
-            form, context=base + (_outline_context((10.0, 8.0)),))
+            form, context=base + SolveContext("bigm", (10.0, 8.0)).key_items())
         assert open_key != fixed_key
         # Quantization keeps float noise from splitting equal outlines.
-        assert _outline_context((10.0, 8.0)) == \
-            _outline_context((10.0 + 1e-12, 8.0))
+        assert SolveContext(outline=(10.0, 8.0)).key_items() == \
+            SolveContext(outline=(10.0 + 1e-12, 8.0)).key_items()
 
     def test_values_rebound_to_requesting_model(self):
         """A hit's values must be keyed by the *new* model's Variables."""
@@ -334,3 +342,114 @@ class TestRegistryIntegration:
         cache = SolveCache()
         assert record_store(cache, "k", partial, form) is False
         assert cache.n_memory_entries == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned keys and telemetry of the solve context
+# ---------------------------------------------------------------------------
+
+def _declared(formulation=None, outline=None, eco=None) -> dict:
+    """The solve()/solve_many() keyword arguments that declare how a model
+    was built.
+
+    Written against both signatures — one ``SolveContext`` record, and the
+    per-axis keywords it replaced — so the pins below can be checked
+    unchanged against the code from before the record existed.
+    """
+    try:
+        from repro.milp.telemetry import SolveContext
+    except ImportError:
+        return {"formulation": formulation, "outline": outline, "eco": eco}
+    return {"context": SolveContext(formulation=formulation, outline=outline,
+                                    eco=eco)}
+
+
+def _pinned_doc(telemetry) -> str:
+    """``telemetry.to_dict()`` as JSON, with its clock readings zeroed."""
+    doc = telemetry.to_dict()
+    doc["wall_seconds"] = 0.0
+    doc["incumbents"] = [[0.0, obj] for _seconds, obj in doc["incumbents"]]
+    doc["cache"]["key_seconds"] = 0.0
+    return json.dumps(doc)
+
+
+#: One case per value of each axis, plus one with every axis set:
+#: ``(formulation, outline, eco, presolve, warm start)`` -> the SHA-256
+#: cache key, and the SHA-256 of :func:`_pinned_doc`.  Cache keys name the
+#: blobs of on-disk cache tiers, so a changed key turns a warm tier cold;
+#: ``formulation=None`` and ``"bigm"`` key apart for that reason.
+CONTEXT_PINS = {
+    (None, None, None, False, False): (
+        "7595243bbcb8b79d407ea7a62ff2d5e11381bd5210eb8d8c2dead2b674894571",
+        "8629cf961e08095769ead6fa0c03a9c83f14ec1712cda401c42901f6b8ec1dbb"),
+    ("bigm", None, None, False, False): (
+        "b780da3a8f14250ab8a6d2bdf8441345fec526518343abd29af12fc7b131e83c",
+        "c8ea6db8a1dcb4fa02768f8a810c80adfa2ac7bf89301fbe473b449bd1062ab3"),
+    ("unary", None, None, False, False): (
+        "f978789296463bd1b1d77005a8102428593cf81e1ca0963b3b28e2ce4d5f6c20",
+        "e6217bc3a5083a971afedb354b5622ab8a1449972062b74559f74b2f096fd373"),
+    (None, (10, 8), None, False, False): (
+        "72ec00a887a7f31f265bb63dc13e383b87a6acccad8214e39a987324833e37bf",
+        "7a146641a9c946f8d2809d062aaaf1d51cd0b0a6cd14918dfdfa46bf45c53037"),
+    (None, None, (2, 7), False, False): (
+        "86df1ad8745556f515566f721866fe62157d1524565ce5bf513f6ec2f03bc611",
+        "ddd9f9c1c97f6124e22447621b29c6f50703d05dd4fd3e869e709063d03d90ef"),
+    (None, None, None, True, False): (
+        "75a33a22666844897c8beb7d1197bf388ecc1e66fcc49a929d91360f1efe5932",
+        "b8988007b6c0fed296be1e6c17ae61bcf53c752c99e31d8570addb81abf66179"),
+    (None, None, None, False, True): (
+        "e2802f499ba62f4d8bd8634feb6f38239831e2cd070d5d2e391e5650d1af27ee",
+        "e9623b32fd12a24d6c02d54ff2abeada8ec6fe5580ea31ca6d8022ea4c8d20c3"),
+    ("unary", (10, 8), (2, 7), True, True): (
+        "1e5433ded4934a4f36ccec9510d514b6e885800f66735f042ecb2d3b68632cd5",
+        "4ba1eb291c2f7cac0f63a912528958bc9555b31d6f2b12a6c90a1b1904c64636"),
+}
+
+
+class TestContextPins:
+    @pytest.fixture
+    def keys(self, monkeypatch) -> list[str]:
+        """Every cache key the registry computes during the test."""
+        seen: list[str] = []
+
+        def recording(form, context=()):
+            seen.append(canonical_form_key(form, context))
+            return seen[-1]
+
+        monkeypatch.setattr(cache_mod, "canonical_form_key", recording)
+        return seen
+
+    @pytest.mark.parametrize("case", list(CONTEXT_PINS),
+                             ids=lambda case: "-".join(map(str, case)))
+    def test_solve_key_and_telemetry_are_pinned(self, case, keys):
+        formulation, outline, eco, presolve, warm = case
+        model = _small_model()
+        warm_start = {v: 0.0 for v in model.variables} if warm else None
+        kwargs = dict(backend="highs", cache=SolveCache(), presolve=presolve,
+                      warm_start=warm_start,
+                      **_declared(formulation, outline, eco))
+        solved = solve(model, **kwargs)
+        served = solve(model, **kwargs)
+        doc = _pinned_doc(solved.telemetry)
+        digest = hashlib.sha256(doc.encode("utf-8")).hexdigest()
+        assert (keys, digest) == ([CONTEXT_PINS[case][0]] * 2,
+                                  CONTEXT_PINS[case][1]), doc
+        # A hit carries the stored solve's telemetry, context included.
+        assert served.telemetry.cache["hit"] is True
+        assert {**json.loads(_pinned_doc(served.telemetry)), "cache": None} \
+            == {**json.loads(doc), "cache": None}
+
+    def test_parallel_batch_keys_match_the_pins(self, keys):
+        """solve_many's parent-side keys of a parallel batch are the keys
+        solve() computes."""
+        from repro.milp.solvers.registry import solve_many
+
+        case = ("unary", (10, 8), (2, 7), True, True)
+        models = [_small_model(), _small_model()]
+        warm_starts = [{v: 0.0 for v in m.variables} for m in models]
+        solutions = solve_many(models, backend="highs", presolve=True,
+                               warm_starts=warm_starts, cache=SolveCache(),
+                               workers=2, **_declared(*case[:3]))
+        assert keys == [CONTEXT_PINS[case][0]] * 2
+        assert all(s.telemetry.cache["key"] == keys[0][:16]
+                   for s in solutions)
