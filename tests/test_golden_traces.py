@@ -1,9 +1,11 @@
 """Golden-trace regression suite.
 
-Three seeded fixtures run the full pipeline and their canonicalized
+Seeded fixtures run the full pipeline and their canonicalized
 telemetry + floorplan JSON is byte-compared against committed goldens in
 ``tests/goldens/``.  Any behavioral drift — a different placement, a changed
 step shape, a new telemetry field — shows up as a readable unified diff.
+The routed fixture also runs the Series-3 routing flow and pins both
+routing passes and the channel adjustment.
 
 To accept intentional changes, regenerate the files with::
 
@@ -17,6 +19,7 @@ that a warm cache reproduces these same answers.
 from __future__ import annotations
 
 import difflib
+import hashlib
 import json
 from pathlib import Path
 from typing import Any
@@ -31,6 +34,10 @@ from repro.netlist.mcnc import apte_like
 from repro.netlist.module import Module
 from repro.netlist.net import Net
 from repro.netlist.netlist import Netlist
+from repro.routing.flow import route_and_adjust
+from repro.routing.result import RoutingResult
+from repro.routing.router import RouterMode
+from repro.routing.technology import Technology
 from repro.serialize import floorplan_to_dict
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -102,7 +109,16 @@ FIXTURES = {
     # pins the windowed re-solve path (plan bytes + escalation provenance).
     "eco_bigm": lambda: (apte_like(), _golden_config(seed_size=4,
                                                      group_size=3)),
+    # The routed golden plans apte with envelopes, then runs the Series-3
+    # flow (around-the-cell, weighted router): it pins both routing passes
+    # and the channel adjustment.
+    "routed_apte": lambda: (apte_like(), _golden_config(
+        seed_size=4, group_size=3, use_envelopes=True,
+        technology=Technology.around_the_cell())),
 }
+
+#: Fixtures whose plan is also routed and adjusted by ``route_and_adjust``.
+ROUTED = frozenset({"routed_apte"})
 
 #: Deltas applied on top of the cold plan for the ECO goldens.
 ECO_DELTAS = {
@@ -131,6 +147,50 @@ def _canonical(value: Any, key: str | None = None) -> Any:
     return value
 
 
+def _routing_document(routing: RoutingResult) -> dict[str, Any]:
+    """Per-net lengths and edge lists (as a SHA-256 of their JSON) plus the
+    pass totals."""
+    return {
+        "routes": [{
+            "net": route.net,
+            "length": route.length,
+            "n_terminals": route.n_terminals,
+            "n_edges": len(route.edges),
+            "edges_sha256": hashlib.sha256(json.dumps(
+                [list(map(list, e)) for e in route.edges]).encode()
+            ).hexdigest(),
+        } for route in routing.routes],
+        "failed_nets": list(routing.failed_nets),
+        "total_wirelength": routing.total_wirelength,
+        "total_overflow": routing.total_overflow,
+        "max_edge_utilization": routing.max_edge_utilization,
+    }
+
+
+def _routed_document(plan, netlist: Netlist,
+                     config: FloorplanConfig) -> dict[str, Any]:
+    """The routing flow on a plan: adjusted chip and placements, both
+    routing passes, and the adjustment's demands and gaps."""
+    routed = route_and_adjust(plan.placements, plan.chip, netlist,
+                              config.technology, mode=RouterMode.WEIGHTED)
+    adjustment = routed.adjustment
+    return {
+        "chip": [routed.chip.x, routed.chip.y, routed.chip.w, routed.chip.h],
+        "placements": {
+            name: {"rect": [p.rect.x, p.rect.y, p.rect.w, p.rect.h],
+                   "rotated": p.rotated}
+            for name, p in routed.placements.items()},
+        "preliminary_routing": _routing_document(routed.preliminary_routing),
+        "routing": _routing_document(routed.routing),
+        "channel_demands": {
+            "|".join(key): value
+            for key, value in adjustment.channel_demands.items()},
+        "gaps_added": {
+            "|".join(key): value
+            for key, value in adjustment.gaps_added.items()},
+    }
+
+
 def golden_document(name: str) -> str:
     """Run fixture ``name`` through the pipeline and render its canonical
     JSON text (telemetry report + full floorplan serialization)."""
@@ -147,6 +207,8 @@ def golden_document(name: str) -> str:
         assert result.status == ECO_PATCHED, \
             f"eco golden fixture {name} did not patch: {result.status}"
         doc["eco"] = result.to_dict(include_plan=True)
+    if name in ROUTED:
+        doc["routed"] = _routed_document(plan, netlist, config)
     return json.dumps(_canonical(doc), indent=1, sort_keys=True) + "\n"
 
 
