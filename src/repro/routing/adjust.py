@@ -18,7 +18,7 @@ returned unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.config import Linearization
 from repro.core.placement import Placement
@@ -93,9 +93,10 @@ def adjust_floorplan(placements: Mapping[str, Placement],
     gaps: dict[tuple[str, str, str], float] = {}
 
     all_rects = [p.rect for p in placement_list]
+    crossings = routed_crossings(channel_graph, routing)
 
     def gap_fn(first: Placement, second: Placement, axis: str) -> float:
-        demand = _corridor_demand(first, second, axis, channel_graph, routing,
+        demand = _corridor_demand(first, second, axis, crossings,
                                   occluders=all_rects)
         required = demand * (technology.pitch_v if axis == "x"
                              else technology.pitch_h)
@@ -141,9 +142,54 @@ def _margin_between(first: Placement, second: Placement, axis: str) -> float:
         - max(0.0, second.envelope.y - first.envelope.y2)
 
 
+#: A used graph edge as a boundary crossing: the boundary line's coordinate,
+#: the crossed segment's extent along the line, and the wires through it.
+Crossing = tuple[float, float, float, float]
+
+
+def routed_crossings(channel_graph: ChannelGraph,
+                     routing: RoutingResult) -> dict[str, list[Crossing]]:
+    """Every used edge's crossing ``(line, seg_lo, seg_hi, usage)``, grouped
+    by the edge's orientation, in ``routing.edge_usage`` order.
+
+    An ``"h"`` edge crosses a horizontal boundary (``line`` is a y, the
+    segment runs along x); a ``"v"`` edge crosses a vertical one.
+    """
+    graph = channel_graph.graph
+    crossings: dict[str, list[Crossing]] = {"h": [], "v": []}
+    for (u, v), usage in routing.edge_usage.items():
+        if usage <= 0 or not graph.has_edge(u, v):
+            continue
+        orientation = graph.edges[u, v]["orientation"]
+        rect_u = graph.nodes[u]["rect"]
+        rect_v = graph.nodes[v]["rect"]
+        if orientation == "h":
+            line = rect_u.y2 if rect_u.y < rect_v.y else rect_v.y2
+            seg_lo = max(rect_u.x, rect_v.x)
+            seg_hi = min(rect_u.x2, rect_v.x2)
+        else:
+            line = rect_u.x2 if rect_u.x < rect_v.x else rect_v.x2
+            seg_lo = max(rect_u.y, rect_v.y)
+            seg_hi = min(rect_u.y2, rect_v.y2)
+        crossings[orientation].append((line, seg_lo, seg_hi, usage))
+    return crossings
+
+
+def peak_demand(crossings: Sequence[Crossing], line_lo: float,
+                line_hi: float, lo: float, hi: float) -> float:
+    """Peak summed usage on one boundary line, over the crossings whose line
+    lies in ``[line_lo, line_hi]`` and whose segment overlaps ``(lo, hi)``."""
+    per_line: dict[float, float] = {}
+    for line, seg_lo, seg_hi, usage in crossings:
+        if (line_lo - GEOM_EPS <= line <= line_hi + GEOM_EPS
+                and seg_lo < hi - GEOM_EPS and seg_hi > lo + GEOM_EPS):
+            key = round(line, 6)
+            per_line[key] = per_line.get(key, 0.0) + usage
+    return max(per_line.values(), default=0.0)
+
+
 def _corridor_demand(first: Placement, second: Placement, axis: str,
-                     channel_graph: ChannelGraph,
-                     routing: RoutingResult,
+                     crossings: Mapping[str, Sequence[Crossing]],
                      occluders: list[Rect] | None = None) -> float:
     """Peak number of wires running along the corridor between two modules.
 
@@ -176,29 +222,4 @@ def _corridor_demand(first: Placement, second: Placement, axis: str,
                 continue
             if other.overlaps(corridor):
                 return 0.0
-
-    per_line: dict[float, float] = {}
-    graph = channel_graph.graph
-    for (u, v), usage in routing.edge_usage.items():
-        if usage <= 0 or not graph.has_edge(u, v):
-            continue
-        data = graph.edges[u, v]
-        if data["orientation"] != crossing:
-            continue
-        rect_u = graph.nodes[u]["rect"]
-        rect_v = graph.nodes[v]["rect"]
-        if crossing == "h":
-            line = rect_u.y2 if rect_u.y < rect_v.y else rect_v.y2
-            seg_lo = max(rect_u.x, rect_v.x)
-            seg_hi = min(rect_u.x2, rect_v.x2)
-            inside = (span_lo - GEOM_EPS <= line <= span_hi + GEOM_EPS
-                      and seg_lo < hi - GEOM_EPS and seg_hi > lo + GEOM_EPS)
-        else:
-            line = rect_u.x2 if rect_u.x < rect_v.x else rect_v.x2
-            seg_lo = max(rect_u.y, rect_v.y)
-            seg_hi = min(rect_u.y2, rect_v.y2)
-            inside = (span_lo - GEOM_EPS <= line <= span_hi + GEOM_EPS
-                      and seg_lo < hi - GEOM_EPS and seg_hi > lo + GEOM_EPS)
-        if inside:
-            per_line[round(line, 6)] = per_line.get(round(line, 6), 0.0) + usage
-    return max(per_line.values(), default=0.0)
+    return peak_demand(crossings[crossing], span_lo, span_hi, lo, hi)

@@ -19,7 +19,8 @@ from typing import Mapping, Sequence
 
 from repro.core.placement import Placement
 from repro.geometry.rect import GEOM_EPS, Rect
-from repro.routing.graph import ChannelGraph
+from repro.routing.adjust import peak_demand, routed_crossings
+from repro.routing.graph import ChannelGraph, _cuts
 from repro.routing.result import RoutingResult
 from repro.routing.technology import Technology
 
@@ -113,42 +114,18 @@ def channel_utilization(channels: Sequence[Channel],
 
     For a vertical channel the wires running along it cross the grid's
     horizontal boundaries inside the channel rect; their peak per-boundary
-    sum over the channel's capacity is the utilization (mirrors the
-    adjustment step's corridor-demand measure).
+    sum over the channel's capacity is the utilization (the adjustment
+    step's corridor-demand measure, :func:`~repro.routing.adjust.peak_demand`,
+    over the channel rect).
     """
-    graph = channel_graph.graph
+    crossings = routed_crossings(channel_graph, routing)
     result: dict[str, float] = {}
     for channel in channels:
-        crossing = "h" if channel.orientation == "v" else "v"
-        per_line: dict[float, float] = {}
-        for (u, v), usage in routing.edge_usage.items():
-            if usage <= 0 or not graph.has_edge(u, v):
-                continue
-            data = graph.edges[u, v]
-            if data["orientation"] != crossing:
-                continue
-            rect_u = graph.nodes[u]["rect"]
-            rect_v = graph.nodes[v]["rect"]
-            if crossing == "h":
-                line = rect_u.y2 if rect_u.y < rect_v.y else rect_v.y2
-                seg_lo = max(rect_u.x, rect_v.x)
-                seg_hi = min(rect_u.x2, rect_v.x2)
-                inside = (channel.rect.y - GEOM_EPS <= line
-                          <= channel.rect.y2 + GEOM_EPS
-                          and seg_lo < channel.rect.x2 - GEOM_EPS
-                          and seg_hi > channel.rect.x + GEOM_EPS)
-            else:
-                line = rect_u.x2 if rect_u.x < rect_v.x else rect_v.x2
-                seg_lo = max(rect_u.y, rect_v.y)
-                seg_hi = min(rect_u.y2, rect_v.y2)
-                inside = (channel.rect.x - GEOM_EPS <= line
-                          <= channel.rect.x2 + GEOM_EPS
-                          and seg_lo < channel.rect.y2 - GEOM_EPS
-                          and seg_hi > channel.rect.y + GEOM_EPS)
-            if inside:
-                key = round(line, 6)
-                per_line[key] = per_line.get(key, 0.0) + usage
-        demand = max(per_line.values(), default=0.0)
+        r = channel.rect
+        if channel.orientation == "v":
+            demand = peak_demand(crossings["h"], r.y, r.y2, r.x, r.x2)
+        else:
+            demand = peak_demand(crossings["v"], r.x, r.x2, r.y, r.y2)
         result[channel.name] = demand / channel.capacity \
             if channel.capacity > 0 else 0.0
     return result
@@ -161,13 +138,3 @@ def congested_channels(channels: Sequence[Channel],
     return [c for c in channels
             if utilization.get(c.name, 0.0) >= threshold]
 
-
-def _cuts(values, lo: float, hi: float, eps: float = GEOM_EPS) -> list[float]:
-    clipped = sorted(min(max(v, lo), hi) for v in values)
-    cuts: list[float] = []
-    for v in clipped:
-        if not cuts or v - cuts[-1] > eps:
-            cuts.append(v)
-    if len(cuts) < 2:
-        cuts = [lo, hi]
-    return cuts

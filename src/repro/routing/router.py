@@ -16,19 +16,26 @@ Multi-pin nets are routed as approximate Steiner trees by iterative nearest-
 terminal growth: the tree starts at one module's generalized pins and
 repeatedly absorbs the cheapest path to a not-yet-connected module (any of
 its four pins), updating channel usage as it goes.
+
+The search runs over the graph's integer-indexed view
+(:class:`~repro.routing.graph.GraphIndex`) with per-edge usage and cost
+lists: a commit re-costs only the edges it touches, a penalty change
+re-costs every edge once, and the final usage is written back to the
+networkx edges when :meth:`GlobalRouter.route` returns.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from repro.core.placement import Placement
 from repro.netlist.net import Net
-from repro.routing.graph import ChannelGraph, Node
+from repro.routing.graph import ChannelGraph
 from repro.routing.pins import generalized_pins
-from repro.routing.result import NetRoute, RoutingResult, canonical_edge
+from repro.routing.result import NetRoute, RoutingResult
 
 
 class RouterMode(str, Enum):
@@ -46,8 +53,8 @@ class GlobalRouter:
                  congestion_penalty: float = 4.0) -> None:
         """
         Args:
-            channel_graph: the routing graph (usage is reset on each
-                :meth:`route` call).
+            channel_graph: the routing graph (each :meth:`route` call
+                overwrites its edge usage).
             mode: shortest-path or congestion-weighted costs.
             congestion_penalty: weight of the over-utilization penalty in
                 WEIGHTED mode.
@@ -64,7 +71,7 @@ class GlobalRouter:
         """Route all nets; timing-critical nets first.
 
         Args:
-            nets: the nets to route.
+            nets: the nets to route (names must be distinct).
             placements: placements of every module the nets reference.
             rip_up_rounds: after the initial pass, repeat up to this many
                 rip-up-and-reroute rounds: nets crossing over-capacity
@@ -74,172 +81,197 @@ class GlobalRouter:
 
         Returns:
             The :class:`~repro.routing.result.RoutingResult`.
-        """
-        graph = self.channel_graph.graph
-        self.channel_graph.reset_usage()
 
-        pin_nodes: dict[str, list[Node]] = {}
+        Raises:
+            ValueError: when two nets share a name.
+        """
+        names: set[str] = set()
+        for net in nets:
+            if net.name in names:
+                raise ValueError(f"duplicate net name {net.name!r}")
+            names.add(net.name)
+        channel_graph = self.channel_graph
+        index = channel_graph.index
+        self._usage = [0.0] * len(index.ends)
+        self._cost = list(index.length)
+        self._penalty = self.congestion_penalty
+        self._recost(range(len(index.ends)))
+
+        pin_ids: dict[str, list[int]] = {}
         for name, placement in placements.items():
-            nodes = {self.channel_graph.pin_node(pin)
-                     for pin in generalized_pins(placement)}
-            pin_nodes[name] = sorted(nodes)
+            pin_ids[name] = sorted({index.ids[channel_graph.pin_node(pin)]
+                                    for pin in generalized_pins(placement)})
 
         # "Nets with the tight timing requirements are routed first"; among
         # equals, short (low-degree) nets first for stable behaviour.
         order = sorted(nets, key=lambda n: (-n.criticality, n.degree, n.name))
-        routed: dict[str, NetRoute] = {}
+        # net name -> (route, its edge ids)
+        routed: dict[str, tuple[NetRoute, tuple[int, ...]]] = {}
         failed: list[str] = []
         for net in order:
-            route = self._route_net(net, pin_nodes)
-            if route is None:
+            found = self._route_net(net, pin_ids)
+            if found is None:
                 failed.append(net.name)
                 continue
-            routed[net.name] = route
-            self._commit(route, +1.0)
+            routed[net.name] = found
+            self._commit(found[1], +1.0)
 
         nets_by_name = {n.name: n for n in order}
-        base_penalty = self.congestion_penalty
-        try:
-            for round_index in range(rip_up_rounds):
-                offenders = self._overflowing_nets(routed, nets_by_name)
-                if not offenders:
-                    break
-                # pressure congestion harder each round
-                self.congestion_penalty = base_penalty * (2.0 ** (round_index + 1))
-                for net in offenders:
-                    old = routed.pop(net.name)
-                    self._commit(old, -1.0)
-                    new = self._route_net(net, pin_nodes)
-                    if new is None:
-                        self._commit(old, +1.0)
-                        routed[net.name] = old
-                        continue
-                    self._commit(new, +1.0)
-                    routed[net.name] = new
-        finally:
-            self.congestion_penalty = base_penalty
+        for round_index in range(rip_up_rounds):
+            offenders = self._overflowing_nets(routed, nets_by_name)
+            if not offenders:
+                break
+            # pressure congestion harder each round
+            self._penalty = self.congestion_penalty * (2.0 ** (round_index + 1))
+            self._recost(range(len(index.ends)))
+            for net in offenders:
+                old = routed.pop(net.name)
+                self._commit(old[1], -1.0)
+                new = self._route_net(net, pin_ids)
+                if new is None:
+                    self._commit(old[1], +1.0)
+                    routed[net.name] = old
+                    continue
+                self._commit(new[1], +1.0)
+                routed[net.name] = new
 
+        for data, usage in zip(index.data, self._usage):
+            data["usage"] = usage
         result = RoutingResult(failed_nets=failed)
         for net in order:
-            route = routed.get(net.name)
-            if route is None:
+            if net.name not in routed:
                 continue
+            route = routed[net.name][0]
             result.routes.append(route)
             result.total_wirelength += route.length
-            for u, v in route.edges:
-                key = canonical_edge(u, v)
+            for key in route.edges:
                 result.edge_usage[key] = result.edge_usage.get(key, 0.0) + 1.0
-        result.total_overflow = self.channel_graph.total_overflow()
+        result.total_overflow = channel_graph.total_overflow()
         result.max_edge_utilization = max(
             (d["usage"] / d["capacity"]
-             for _u, _v, d in graph.edges(data=True) if d["capacity"] > 0),
+             for _u, _v, d in channel_graph.graph.edges(data=True)
+             if d["capacity"] > 0),
             default=0.0)
         return result
 
-    # -- rip-up helpers ----------------------------------------------------------------
+    # -- usage and costs ---------------------------------------------------------------
 
-    def _commit(self, route: NetRoute, delta: float) -> None:
-        """Apply (or remove) a route's usage on the graph."""
-        graph = self.channel_graph.graph
-        for u, v in route.edges:
-            graph.edges[u, v]["usage"] += delta
+    def _commit(self, edges: Sequence[int], delta: float) -> None:
+        """Apply (or remove) a route's usage and re-cost its edges."""
+        usage = self._usage
+        for e in edges:
+            usage[e] += delta
+        self._recost(edges)
 
-    def _overflowing_nets(self, routed: Mapping[str, NetRoute],
-                          nets_by_name: Mapping[str, Net]) -> list[Net]:
+    def _recost(self, edges: Iterable[int]) -> None:
+        """Edge costs under the current mode, penalty and usage."""
+        if self.mode is RouterMode.SHORTEST:
+            return
+        index = self.channel_graph.index
+        length, capacity = index.length, index.capacity
+        usage, cost, penalty = self._usage, self._cost, self._penalty
+        for e in edges:
+            utilization = (usage[e] + 1.0) / max(capacity[e], 1e-9)
+            cost[e] = length[e] * (1.0 + penalty * max(0.0, utilization - 1.0))
+
+    def _overflowing_nets(
+            self, routed: Mapping[str, tuple[NetRoute, tuple[int, ...]]],
+            nets_by_name: Mapping[str, Net]) -> list[Net]:
         """Nets using at least one over-capacity edge, least critical (and
         longest) first so timing-critical routes keep their paths."""
-        graph = self.channel_graph.graph
-        hot = {(u, v) if u <= v else (v, u)
-               for u, v, d in graph.edges(data=True)
-               if d["usage"] > d["capacity"] + 1e-9}
+        capacity = self.channel_graph.index.capacity
+        hot = {e for e, used in enumerate(self._usage)
+               if used > capacity[e] + 1e-9}
         if not hot:
             return []
-        offenders = [nets_by_name[name] for name, route in routed.items()
-                     if any(e in hot for e in route.edges)]
+        offenders = [nets_by_name[name] for name, (_route, edges)
+                     in routed.items() if not hot.isdisjoint(edges)]
         offenders.sort(key=lambda n: (n.criticality,
-                                      -routed[n.name].length, n.name))
+                                      -routed[n.name][0].length, n.name))
         return offenders
 
-    # -- internals ---------------------------------------------------------------------
+    # -- search ------------------------------------------------------------------------
 
-    def _edge_cost(self, data: dict) -> float:
-        """Edge cost under the current mode and usage."""
-        length = data["length"]
-        if self.mode is RouterMode.SHORTEST:
-            return length
-        capacity = max(data["capacity"], 1e-9)
-        utilization = (data["usage"] + 1.0) / capacity
-        penalty = self.congestion_penalty * max(0.0, utilization - 1.0)
-        return length * (1.0 + penalty)
-
-    def _route_net(self, net: Net,
-                   pin_nodes: Mapping[str, list[Node]]) -> NetRoute | None:
-        """Grow a Steiner-ish tree over the net's terminals."""
-        terminals = [pin_nodes[name] for name in net.modules
-                     if name in pin_nodes]
+    def _route_net(self, net: Net, pin_ids: Mapping[str, list[int]],
+                   ) -> tuple[NetRoute, tuple[int, ...]] | None:
+        """Grow a Steiner-ish tree over the net's terminals; the route and
+        its edge ids."""
+        terminals = [pin_ids[name] for name in net.modules if name in pin_ids]
         if len(terminals) < 2:
             return None
 
-        tree_nodes: set[Node] = set(terminals[0])
+        tree: set[int] = set(terminals[0])
         remaining = list(range(1, len(terminals)))
-        edges: list[tuple[Node, Node]] = []
+        edges: list[int] = []
 
         while remaining:
-            target_of: dict[Node, int] = {}
+            target_of: dict[int, int] = {}
             for idx in remaining:
                 for node in terminals[idx]:
                     target_of.setdefault(node, idx)
-            path = self._multi_source_shortest(tree_nodes, set(target_of))
-            if path is None:
+            found = self._multi_source_shortest(tree, target_of)
+            if found is None:
                 return None
-            reached = path[-1]
-            connected = target_of[reached]
+            path, path_edges = found
+            connected = target_of[path[-1]]
             remaining.remove(connected)
-            for a, b in zip(path, path[1:]):
-                edges.append(canonical_edge(a, b))
-            tree_nodes.update(path)
-            tree_nodes.update(terminals[connected])
+            edges.extend(path_edges)
+            tree.update(path)
+            tree.update(terminals[connected])
 
         # Deduplicate edges shared by several branch paths.
-        unique_edges = tuple(dict.fromkeys(edges))
-        unique_length = sum(self.channel_graph.graph.edges[u, v]["length"]
-                            for u, v in unique_edges)
-        return NetRoute(net=net.name, edges=unique_edges,
-                        length=unique_length, n_terminals=len(terminals))
+        unique = tuple(dict.fromkeys(edges))
+        index = self.channel_graph.index
+        route = NetRoute(net=net.name,
+                         edges=tuple(index.ends[e] for e in unique),
+                         length=sum(index.length[e] for e in unique),
+                         n_terminals=len(terminals))
+        return route, unique
 
-    def _multi_source_shortest(self, sources: set[Node],
-                               targets: set[Node]) -> list[Node] | None:
+    def _multi_source_shortest(self, sources: set[int],
+                               targets: Collection[int],
+                               ) -> tuple[list[int], list[int]] | None:
         """Dijkstra from all of ``sources`` to the nearest of ``targets``.
 
-        Returns the node path (source ... target) or None when unreachable.
+        Returns the path's cell ids (source ... target) and edge ids, or
+        None when unreachable.  Ids compare like the cells they stand for,
+        so heap ties and the overlap pick resolve as over ``(i, j)`` cells.
         """
-        overlap = sources & targets
+        overlap = sources.intersection(targets)
         if overlap:
-            node = min(overlap)
-            return [node]
-        graph = self.channel_graph.graph
-        dist: dict[Node, float] = {}
-        prev: dict[Node, Node | None] = {}
-        heap: list[tuple[float, Node]] = []
+            return [min(overlap)], []
+        index = self.channel_graph.index
+        n = len(index.nodes)
+        dist = [math.inf] * n
+        prev = [-1] * n
+        via = [-1] * n
+        is_target = bytearray(n)
+        for t in targets:
+            is_target[t] = 1
+        heap = [(0.0, s) for s in sources]
         for s in sources:
-            if s in graph:
-                dist[s] = 0.0
-                prev[s] = None
-                heapq.heappush(heap, (0.0, s))
+            dist[s] = 0.0
+        heapq.heapify(heap)
+        adjacency, cost = index.adjacency, self._cost
+        heappop, heappush = heapq.heappop, heapq.heappush
         while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, float("inf")):
+            d, u = heappop(heap)
+            if d > dist[u]:
                 continue
-            if u in targets:
-                path = [u]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])  # type: ignore[arg-type]
+            if is_target[u]:
+                path, path_edges = [u], []
+                while prev[u] >= 0:
+                    path_edges.append(via[u])
+                    u = prev[u]
+                    path.append(u)
                 path.reverse()
-                return path
-            for v, data in graph[u].items():
-                nd = d + self._edge_cost(data)
-                if nd < dist.get(v, float("inf")):
+                path_edges.reverse()
+                return path, path_edges
+            for v, e in adjacency[u]:
+                nd = d + cost[e]
+                if nd < dist[v]:
                     dist[v] = nd
                     prev[v] = u
-                    heapq.heappush(heap, (nd, v))
+                    via[v] = e
+                    heappush(heap, (nd, v))
         return None

@@ -131,3 +131,22 @@ class TestOrderingAndModes:
         result = GlobalRouter(graph).route([Net("n", ("a", "b"))], placements)
         assert result.route_of("n") is not None
         assert result.route_of("missing") is None
+
+
+class TestNetNames:
+    def test_duplicate_net_names_rejected(self):
+        """Routes are keyed by net name: a second net named ``n`` would
+        replace the first in the result while the first's usage stays on
+        the graph, so the router refuses it."""
+        placements = {
+            name: Placement(Module.rigid(name, 2, 2), Rect(x, y, 2, 2))
+            for name, (x, y) in
+            {"a": (0, 0), "b": (8, 0), "c": (4, 8)}.items()
+        }
+        graph = build_channel_graph(list(placements.values()),
+                                    Rect(0, 0, 10, 10),
+                                    Technology.around_the_cell(),
+                                    ring_width=1.0)
+        nets = [Net("n", ("a", "b")), Net("n", ("a", "c"))]
+        with pytest.raises(ValueError, match="duplicate net name 'n'"):
+            GlobalRouter(graph).route(nets, placements)
