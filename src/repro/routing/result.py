@@ -55,8 +55,3 @@ class RoutingResult:
             if r.net == net_name:
                 return r
         return None
-
-
-def canonical_edge(u: Node, v: Node) -> tuple[Node, Node]:
-    """Order an edge's endpoints deterministically for dictionary keys."""
-    return (u, v) if u <= v else (v, u)
