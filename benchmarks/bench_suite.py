@@ -8,23 +8,26 @@ way an open-source floorplanner's CI would.
 Instances are independent, so they fan out over
 :func:`repro.parallel.parallel_map` (worker count from ``REPRO_WORKERS``,
 defaulting to the CPU count).  Setting ``REPRO_BENCH_QUICK=1`` switches to
-a small-instance quick mode with tighter time limits — the CI smoke job —
+a small-instance quick mode with tighter time limits — the mode CI runs —
 and either mode writes the per-solve telemetry of every instance to
 ``results/suite_telemetry.json`` as a machine-readable perf artifact.
+Suite instances always solve on the ``highs`` backend (the backend
+``BENCH_baseline.json`` records).
 ``REPRO_BENCH_PRESOLVE=0`` disables the MILP presolve + warm-start layer,
-producing the baseline half of the CI presolve-parity diff
+producing the baseline half of the CI bench job's presolve-parity diff
 (``benchmarks/diff_objectives.py`` compares the two canonical artifacts).
 ``REPRO_BENCH_FORMULATION=unary`` runs the whole suite under the unary
-non-overlap encoding — the formulation-parity job's end-to-end leg (its
+non-overlap encoding — the bench job's end-to-end formulation leg (the
 per-solve parity gates live in ``bench_formulations.py``).
 
 The canonical solve cache is on by default; with ``REPRO_CACHE_DIR`` set,
 consecutive suite runs share the on-disk tier, and the per-instance hit
 rates land in ``results/cache_stats.txt`` plus the telemetry artifact.
 ``REPRO_BENCH_EXPECT_WARM=1`` turns the warm expectation into an assertion
-(hit rate >= 0.30 across recorded solves) — the CI cache-parity job sets it
-on its second, warm run.  Cache provenance is stripped from the *canonical*
-artifact, so a cold and a warm run still byte-compare identically.
+(hit rate >= 0.30 across recorded solves) — the CI bench job sets it on
+its warm run, after a cold run on the same cache dir.  Cache provenance is
+stripped from the *canonical* artifact, so a cold and a warm run still
+byte-compare identically.
 
 Every run also emits the perf-trajectory artifact ``results/BENCH_<rev>.json``
 (wall time, branch-and-bound nodes, LP calls, and cache hits per fixture,
@@ -64,17 +67,11 @@ QUICK_ENV = "REPRO_BENCH_QUICK"
 
 #: Environment variable toggling the MILP presolve + warm-start layer.
 #: On by default; ``0`` / ``off`` runs the suite without it — the baseline
-#: half of the CI presolve-parity diff.
+#: half of the CI bench job's presolve-parity diff.
 PRESOLVE_ENV = "REPRO_BENCH_PRESOLVE"
 
-#: Environment variable overriding the MILP backend (default ``highs``).
-#: The presolve-parity job sets ``bnb`` so its node-reduction numbers
-#: measure the from-scratch branch-and-bound, where the tightened big-Ms
-#: and seeded incumbents bite hardest.
-BACKEND_ENV = "REPRO_BENCH_BACKEND"
-
 #: Environment variable selecting the non-overlap formulation (default
-#: ``bigm``).  The formulation-parity job sets ``unary`` to prove the
+#: ``bigm``).  The CI bench job's unary leg sets ``unary`` to prove the
 #: stronger encoding carries the full pipeline end to end; trajectories
 #: are *not* diffed across formulations (equally-optimal subproblem
 #: vertices legitimately steer the greedy augmentation differently — the
@@ -101,18 +98,13 @@ def presolve_mode() -> bool:
         not in ("0", "off", "false")
 
 
-def suite_backend() -> str:
-    """The MILP backend the suite runs on (default ``highs``)."""
-    return os.environ.get(BACKEND_ENV, "").strip() or "highs"
-
-
 def suite_formulation() -> str:
     """The non-overlap formulation the suite runs on (default ``bigm``)."""
     return os.environ.get(FORMULATION_ENV, "").strip() or "bigm"
 
 
 def expect_warm() -> bool:
-    """True when this run must find a warmed cache (CI's second run)."""
+    """True when this run must find a warmed cache (CI's warm run)."""
     return os.environ.get(EXPECT_WARM_ENV, "").strip() not in ("", "0")
 
 
@@ -127,7 +119,7 @@ def _run_one(make, time_limit: float, presolve: bool) -> dict:
     config = FloorplanConfig(seed_size=6, group_size=4, ordering_seed=0,
                              use_envelopes=True, technology=technology,
                              subproblem_time_limit=time_limit,
-                             backend=suite_backend(),
+                             backend="highs",
                              formulation=suite_formulation(),
                              presolve=presolve, warm_start=presolve)
     plan = Floorplanner(netlist, config).run()
@@ -280,7 +272,7 @@ def test_full_suite(benchmark, results_dir):
         "version": 1,
         "rev": bench_rev(),
         "mode": mode,
-        "backend": suite_backend(),
+        "backend": "highs",
         "presolve": presolve_mode(),
         "formulation": suite_formulation(),
         "fixtures": fixtures,

@@ -1,9 +1,10 @@
 """Diff two canonical suite-telemetry artifacts on solve outcomes.
 
-The presolve-parity CI job runs ``bench_suite.py`` twice — once with
-``REPRO_BENCH_PRESOLVE=0`` (baseline) and once with the presolve +
-warm-start layer on (candidate) — and feeds both
-``suite_telemetry_canonical.json`` artifacts through this tool.  Presolve
+The CI bench job runs ``bench_suite.py`` with
+``REPRO_BENCH_PRESOLVE=0`` (baseline) and with the presolve + warm-start
+layer on (candidate) and feeds both ``suite_telemetry_canonical.json``
+artifacts through this tool (it diffs a cold and a warm solve-cache run
+the same way).  Presolve
 is objective-preserving by construction, so every augmentation step must
 reach the same status and the same optimal objective; only solver effort
 (nodes, LP calls, wall time) may differ.  Objectives are compared with a

@@ -257,17 +257,13 @@ def backends_for(model: Model,
 
 
 def _variant_plan(model: Model, backends: Sequence[str] | None,
-                  presolve_axis: bool, node_store_axis: bool
-                  ) -> list[tuple[str, str, bool, tuple]]:
-    """The (label, backend, presolve, extra-options) variants for ``model``."""
-    plan: list[tuple[str, str, bool, tuple]] = []
+                  presolve_axis: bool) -> list[tuple[str, str, bool]]:
+    """The (label, backend, presolve) variants for ``model``."""
+    plan: list[tuple[str, str, bool]] = []
     for name in backends_for(model, backends):
-        plan.append((name, name, False, ()))
+        plan.append((name, name, False))
         if presolve_axis:
-            plan.append((f"{name}+presolve", name, True, ()))
-        if node_store_axis and name == "bnb" and not model.is_pure_lp():
-            plan.append((f"{name}+scalar", name, False,
-                         (("node_store", "objects"),)))
+            plan.append((f"{name}+presolve", name, True))
     return plan
 
 
@@ -276,7 +272,6 @@ def run_differential_batch(models: Sequence[Model], *,
                            time_limit: float = 10.0,
                            obj_tol: float = CROSS_OBJ_TOL,
                            presolve_axis: bool = True,
-                           node_store_axis: bool = True,
                            workers: int | None = 1
                            ) -> list[tuple[dict[str, Solution],
                                            list[Disagreement]]]:
@@ -294,25 +289,24 @@ def run_differential_batch(models: Sequence[Model], *,
     Returns one ``(results, disagreements)`` pair per model, in order.
     """
     model_list = list(models)
-    plans = [_variant_plan(m, backends, presolve_axis, node_store_axis)
-             for m in model_list]
-    groups: dict[tuple[str, str, bool, tuple], list[int]] = {}
+    plans = [_variant_plan(m, backends, presolve_axis) for m in model_list]
+    groups: dict[tuple[str, str, bool], list[int]] = {}
     for i, plan in enumerate(plans):
         for spec in plan:
             groups.setdefault(spec, []).append(i)
     solved: dict[tuple[int, str], Solution] = {}
-    for (label, name, use_presolve, extra), idxs in groups.items():
+    for (label, name, use_presolve), idxs in groups.items():
         batch = solve_many([model_list[i] for i in idxs], backend=name,
                            presolve=use_presolve, time_limit=time_limit,
                            mip_rel_gap=FUZZ_GAP, workers=workers,
-                           on_error="capture", **dict(extra))
+                           on_error="capture")
         for i, sol in zip(idxs, batch):
             solved[(i, label)] = sol
     out: list[tuple[dict[str, Solution], list[Disagreement]]] = []
     for i, (model, plan) in enumerate(zip(model_list, plans)):
         results: dict[str, Solution] = {}
         disagreements: list[Disagreement] = []
-        for label, _name, _presolve, _extra in plan:
+        for label, _name, _presolve in plan:
             sol = solved[(i, label)]
             results[label] = sol
             if sol.status is SolveStatus.ERROR \
@@ -327,8 +321,7 @@ def run_differential_batch(models: Sequence[Model], *,
 def run_differential(model: Model, *, backends: Sequence[str] | None = None,
                      time_limit: float = 10.0,
                      obj_tol: float = CROSS_OBJ_TOL,
-                     presolve_axis: bool = True,
-                     node_store_axis: bool = True
+                     presolve_axis: bool = True
                      ) -> tuple[dict[str, Solution], list[Disagreement]]:
     """Run every applicable backend on ``model`` and cross-check the claims.
 
@@ -336,17 +329,14 @@ def run_differential(model: Model, *, backends: Sequence[str] | None = None,
     through the :mod:`repro.milp.presolve` layer (reported under the
     ``"<backend>+presolve"`` key) — so presolve bugs that cut the optimum or
     corrupt the postsolve mapping surface as cross-variant disagreements on
-    the identical model.  With ``node_store_axis`` (the default) integer
-    models additionally run the branch-and-bound with its scalar object
-    frontier (``"bnb+scalar"``), pinning the vectorized array frontier
-    against the reference store on every fuzzed instance.
+    the identical model.
 
     Returns the per-variant solutions (crashes become synthetic ERROR
     solutions) and the list of disagreements (empty = all consistent).
     """
     [(results, disagreements)] = run_differential_batch(
         [model], backends=backends, time_limit=time_limit, obj_tol=obj_tol,
-        presolve_axis=presolve_axis, node_store_axis=node_store_axis)
+        presolve_axis=presolve_axis)
     return results, disagreements
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
+from repro.milp.solvers.branch_and_bound import LP_ENGINES
+from repro.milp.solvers.registry import available_backends
 from repro.milp.telemetry import DEFAULT_FORMULATION, FORMULATIONS
 
 if TYPE_CHECKING:
@@ -288,6 +290,14 @@ class FloorplanConfig:
             raise ValueError(
                 f"formulation must be one of {FORMULATIONS}, "
                 f"got {self.formulation!r}")
+        if self.backend not in available_backends():
+            raise ValueError(
+                f"backend must be one of {available_backends()}, "
+                f"got {self.backend!r}")
+        if self.lp_engine is not None and self.lp_engine not in LP_ENGINES:
+            raise ValueError(
+                f"lp_engine must be None or one of {LP_ENGINES}, "
+                f"got {self.lp_engine!r}")
         self.objective = Objective(self.objective)
         self.ordering = Ordering(self.ordering)
         self.linearization = Linearization(self.linearization)

@@ -108,10 +108,10 @@ def canonicalize_telemetry(doc: dict[str, Any]) -> dict[str, Any]:
     canonicalize identically.
 
     Frontier and batch counters are execution provenance too: the frontier
-    store (vectorized arrays vs scalar objects, peak capacity, LP engine)
-    and the :func:`~repro.milp.solvers.registry.solve_many` batch shape
-    describe *how* a solve ran, not *what* it computed, so they are nulled
-    to keep scalar/vectorized and batched/sequential runs byte-comparable.
+    counters (peak size, reclaimed rows) and the
+    :func:`~repro.milp.solvers.registry.solve_many` batch shape describe
+    *how* a solve ran, not *what* it computed, so they are nulled to keep
+    batched/sequential runs byte-comparable.
     """
     out = json.loads(json.dumps(doc))
     out["elapsed_seconds"] = 0.0

@@ -17,22 +17,20 @@ plus branching.  Features:
   incumbent trace, final gap) attached to every solution.
 
 Hot-path layout: the active-node frontier keeps per-node variable bounds in
-two contiguous ``(capacity, n_cols)`` arenas (``node_store="arrays"``, the
-default) instead of one pair of arrays per node object; dominated rows are
-reclaimed in bulk whenever the incumbent improves.  The reference
-implementation (``node_store="objects"``) keeps the original per-node
-dataclasses and must explore byte-for-byte the same tree — the parity suite
-asserts exactly that.
+two contiguous ``(capacity, n_cols)`` arenas instead of one pair of arrays
+per node object; dominated rows are reclaimed in bulk whenever the incumbent
+improves.
 
 LP relaxations are solved by a persistent HiGHS instance
 (``lp_engine="highs"``, the default): the model is passed to the solver once
-per tree and every node only changes column bounds before re-running from the
-warm basis, cutting ~100x of per-call python overhead compared to
+per tree and every node only changes column bounds, then re-solves from
+scratch (the solver state is cleared, so no basis carries over between
+nodes).  That cuts ~100x of per-call python overhead compared to
 :func:`scipy.optimize.linprog` (which rebuilds and re-validates the model on
-every call).  ``lp_engine="highs-linprog"`` keeps the linprog path as a
-scalar reference, and ``lp_engine="simplex"`` switches to the repository's
-own :mod:`NumPy simplex <repro.milp.solvers.simplex>`, making the entire
-solve chain self-contained.
+every call); linprog remains the ``"highs"`` engine only where SciPy lacks
+its vendored HiGHS bindings.  ``lp_engine="simplex"`` switches to the
+repository's own :mod:`NumPy simplex <repro.milp.solvers.simplex>`, making
+the entire solve chain self-contained.
 """
 
 from __future__ import annotations
@@ -42,12 +40,9 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import dataclass, field
-
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize
 
 from repro.milp.expr import Variable
 from repro.milp.model import Model, StandardForm
@@ -70,11 +65,11 @@ class _PersistentHighsEngine:
     ``passModel`` once, then per node only ``changeColsBounds`` +
     ``clearSolver`` + ``run``: none of linprog's per-call input cleaning,
     option validation, or sparse-matrix rebuilding happens (~12x less
-    overhead per relaxation).  ``clearSolver`` matters: it drops the warm
-    basis so every node solves from scratch exactly like the linprog
-    reference does — warm-basis resolves land on different degenerate
-    vertices, which changes branching decisions and breaks tree parity
-    with ``lp_engine="highs-linprog"``.
+    overhead per relaxation).  ``clearSolver`` keeps the tree identical to
+    the :class:`_LinprogEngine` fallback: it drops the basis so every node
+    solves from scratch, as each linprog call does — warm-basis resolves
+    land on different degenerate vertices, which changes branching
+    decisions, so the two ``"highs"`` engines would explore different trees.
     """
 
     engine = "highs"
@@ -136,18 +131,23 @@ class _PersistentHighsEngine:
 
 
 class _LinprogEngine:
-    """Scalar reference: one :func:`scipy.optimize.linprog` call per node."""
+    """The ``"highs"`` engine where SciPy lacks its vendored HiGHS bindings
+    (``scipy.optimize._highspy``, absent from older supported releases):
+    one :func:`scipy.optimize.linprog` call per node."""
 
-    def __init__(self, form: StandardForm, name: str) -> None:
+    engine = "highs"
+
+    def __init__(self, form: StandardForm) -> None:
         self.form = form
-        self.engine = name
         self.n_calls = 0
         self._linprog_kwargs = _rows_for_linprog(form)
 
     def solve(self, lb: np.ndarray,
               ub: np.ndarray) -> tuple[str, np.ndarray | None, float]:
+        from scipy.optimize import linprog
+
         self.n_calls += 1
-        result = optimize.linprog(
+        result = linprog(
             self.form.c, bounds=np.column_stack([lb, ub]),
             method="highs", **self._linprog_kwargs)
         status = {0: "optimal", 1: "limit", 2: "infeasible",
@@ -179,6 +179,10 @@ class _SimplexEngine:
         return status, result.x, result.objective
 
 
+#: The ``lp_engine`` names :func:`solve_bnb` accepts.
+LP_ENGINES = ("highs", "simplex")
+
+
 def _make_engine(form: StandardForm, engine: str):
     if engine == "highs":
         try:
@@ -186,9 +190,7 @@ def _make_engine(form: StandardForm, engine: str):
         except (ImportError, AttributeError):
             # scipy without the vendored highspy bindings: fall back to the
             # per-call linprog path under the same public engine name.
-            return _LinprogEngine(form, "highs")
-    if engine == "highs-linprog":
-        return _LinprogEngine(form, "highs-linprog")
+            return _LinprogEngine(form)
     if engine == "simplex":
         return _SimplexEngine(form)
     raise ValueError(f"unknown lp engine {engine!r}")
@@ -222,17 +224,6 @@ def _rows_for_linprog(form: StandardForm) -> dict:
 # Node frontiers
 
 
-@dataclass(order=True)
-class _Node:
-    """A branch-and-bound node: bound plus extra variable bounds."""
-
-    bound: float
-    tiebreak: int
-    depth: int = field(compare=False)
-    lb: np.ndarray = field(compare=False)
-    ub: np.ndarray = field(compare=False)
-
-
 class _Popped:
     """What a frontier pop hands to the search loop.
 
@@ -254,52 +245,6 @@ class _Popped:
         self.live = live
 
 
-class _ObjectFrontier:
-    """Reference frontier: one :class:`_Node` dataclass per node."""
-
-    store = "objects"
-
-    def __init__(self, n_cols: int) -> None:
-        self._heap: list[_Node] = []
-        self._counter = itertools.count()
-        self.peak_nodes = 0
-        self.rows_reclaimed = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push_root(self, bound: float, lb: np.ndarray, ub: np.ndarray) -> None:
-        heapq.heappush(self._heap,
-                       _Node(bound, next(self._counter), 0, lb.copy(),
-                             ub.copy()))
-        self.peak_nodes = max(self.peak_nodes, len(self._heap))
-
-    def pop(self) -> _Popped:
-        node = heapq.heappop(self._heap)
-        return _Popped(node.bound, node.depth, node, node.lb, node.ub, True)
-
-    def branch(self, node: _Popped, bound: float, col: int,
-               floor_val: float, ceil_val: float) -> None:
-        parent = node.slot
-        down_ub = parent.ub.copy()
-        down_ub[col] = floor_val
-        up_lb = parent.lb.copy()
-        up_lb[col] = ceil_val
-        heapq.heappush(self._heap,
-                       _Node(bound, next(self._counter), parent.depth + 1,
-                             parent.lb.copy(), down_ub))
-        heapq.heappush(self._heap,
-                       _Node(bound, next(self._counter), parent.depth + 1,
-                             up_lb, parent.ub.copy()))
-        self.peak_nodes = max(self.peak_nodes, len(self._heap))
-
-    def discard(self, node: _Popped) -> None:
-        pass
-
-    def prune_dominated(self, threshold: float) -> None:
-        pass
-
-
 class _ArrayFrontier:
     """Contiguous-arena frontier: all per-node bounds in two 2-D arrays.
 
@@ -311,10 +256,9 @@ class _ArrayFrontier:
     whose bound is dominated is reclaimed in one vectorized sweep; its heap
     entry stays behind as a tombstone (detected by a stale ``gen`` counter)
     so the pop order, node counts, and LP-call counts stay byte-identical to
-    the object-store reference.
+    a per-node-object frontier that never reclaims
+    (``tests/test_vectorized_parity.py`` keeps one as the reference).
     """
-
-    store = "arrays"
 
     def __init__(self, n_cols: int, capacity: int = 64) -> None:
         self._n_cols = n_cols
@@ -419,14 +363,6 @@ class _ArrayFrontier:
         self.rows_reclaimed += int(doomed.size)
 
 
-def _make_frontier(store: str, n_cols: int):
-    if store == "arrays":
-        return _ArrayFrontier(n_cols)
-    if store == "objects":
-        return _ObjectFrontier(n_cols)
-    raise ValueError(f"unknown node store {store!r}")
-
-
 # ---------------------------------------------------------------------------
 # Search
 
@@ -434,7 +370,6 @@ def _make_frontier(store: str, n_cols: int):
 def solve_bnb(model: Model, *, time_limit: float | None = None,
               mip_rel_gap: float = 1e-6, node_limit: int = 200_000,
               lp_engine: str = "highs", int_tol: float = INT_TOL,
-              node_store: str = "arrays",
               stop: threading.Event | None = None,
               form: StandardForm | None = None,
               warm_start: Mapping[Variable, float] | None = None) -> Solution:
@@ -448,15 +383,10 @@ def solve_bnb(model: Model, *, time_limit: float | None = None,
         mip_rel_gap: stop when ``(incumbent - best_bound)`` falls within this
             relative gap.
         node_limit: maximum number of explored nodes.
-        lp_engine: ``"highs"`` (default, a persistent HiGHS instance re-run
-            over changed column bounds), ``"highs-linprog"`` (one
-            :func:`scipy.optimize.linprog` call per node — the scalar
-            reference for the persistent engine), or ``"simplex"`` for the
-            pure-NumPy relaxation solver.
+        lp_engine: one of :data:`LP_ENGINES` — ``"highs"`` (default, a
+            persistent HiGHS instance re-run over changed column bounds) or
+            ``"simplex"`` for the pure-NumPy relaxation solver.
         int_tol: integrality tolerance for rounding/branching decisions.
-        node_store: ``"arrays"`` (default, contiguous-arena frontier) or
-            ``"objects"`` (per-node dataclasses — the scalar reference; must
-            explore the identical tree).
         stop: optional cancellation event checked once per node — set by a
             racing portfolio when another engine already won.
         form: a precomputed standard form of ``model`` (shared by portfolio
@@ -518,7 +448,7 @@ def solve_bnb(model: Model, *, time_limit: float | None = None,
     if rounded is not None:
         try_incumbent(rounded)
 
-    frontier = _make_frontier(node_store, len(form.variables))
+    frontier = _ArrayFrontier(len(form.variables))
     frontier.push_root(objective, form.lb, form.ub)
     n_nodes = 1
     best_bound = objective
@@ -574,10 +504,8 @@ def solve_bnb(model: Model, *, time_limit: float | None = None,
         incumbent_obj == math.inf
         or (incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj)) > mip_rel_gap)
     telemetry.frontier = {
-        "store": frontier.store,
         "peak_nodes": frontier.peak_nodes,
         "rows_reclaimed": frontier.rows_reclaimed,
-        "lp_engine": engine.engine,
     }
     if incumbent_x is None:
         final = SolveStatus.LIMIT if hit_limit else SolveStatus.INFEASIBLE
@@ -599,7 +527,7 @@ def _select_branch(x: np.ndarray, int_cols: np.ndarray,
 
     One vector pass computes every integer column's distance from the
     nearest integer; the most-fractional column wins (first occurrence on
-    ties, matching the scalar helpers below).  -1 means integral.
+    ties).  -1 means integral.
     """
     if not int_cols.size:
         return -1
@@ -610,22 +538,6 @@ def _select_branch(x: np.ndarray, int_cols: np.ndarray,
         return -1
     distances[~fractional] = -1.0
     return int(int_cols[int(np.argmax(distances))])
-
-
-def _fractional_columns(x: np.ndarray, int_cols: np.ndarray,
-                        int_tol: float = INT_TOL) -> np.ndarray:
-    """Integer columns whose LP value is fractional."""
-    if not int_cols.size:
-        return int_cols
-    values = x[int_cols]
-    return int_cols[np.abs(values - np.round(values)) > int_tol]
-
-
-def _most_fractional(x: np.ndarray, frac_cols: np.ndarray) -> int:
-    """The fractional column farthest from an integer."""
-    values = x[frac_cols]
-    distances = np.abs(values - np.round(values))
-    return int(frac_cols[int(np.argmax(distances))])
 
 
 def _validated_warm_start(form: StandardForm,

@@ -136,10 +136,8 @@ class SolveTelemetry:
             other fields (nodes, LP calls, incumbents) are those of the
             original stored solve.
         frontier: branch-and-bound frontier counters when the own solver
-            ran — ``{"store": "arrays"|"objects", "peak_nodes": int,
-            "rows_reclaimed": int, "lp_engine": str}`` — else None.  Purely
-            diagnostic; stripped by canonicalization so scalar and
-            vectorized runs stay byte-comparable.
+            ran — ``{"peak_nodes": int, "rows_reclaimed": int}`` — else
+            None.  Purely diagnostic; stripped by canonicalization.
         batch: batching provenance when the solve went through
             :func:`repro.milp.solvers.registry.solve_many` —
             ``{"size": int, "index": int}`` — else None.  Also stripped by

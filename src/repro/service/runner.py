@@ -273,6 +273,23 @@ def run_width_search(request: dict[str, Any], ctx: JobContext,
     }
 
 
+def _solve_axes(request: dict[str, Any]) -> tuple[str, str | None]:
+    """The ``solve`` kind's backend and request-level formulation, each
+    rejected unless registered."""
+    from repro.milp.solvers.registry import available_backends
+    from repro.milp.telemetry import FORMULATIONS
+
+    backend = request.get("backend", "highs")
+    if backend not in available_backends():
+        raise BadRequest(f"unknown backend {backend!r}; available: "
+                         f"{available_backends()}")
+    formulation = request.get("formulation")
+    if formulation is not None and formulation not in FORMULATIONS:
+        raise BadRequest(f"unknown formulation {formulation!r}; "
+                         f"available: {list(FORMULATIONS)}")
+    return backend, formulation
+
+
 def run_solve(request: dict[str, Any], ctx: JobContext,
               defaults: FloorplanConfig) -> dict[str, Any]:
     """The ``solve`` kind: a batch of raw MILP models through
@@ -283,8 +300,8 @@ def run_solve(request: dict[str, Any], ctx: JobContext,
     their encoding or die; a request-level ``"formulation"`` is recorded as
     provenance.
     """
-    from repro.milp.solvers.registry import available_backends, solve_many
-    from repro.milp.telemetry import FORMULATIONS, SolveContext
+    from repro.milp.solvers.registry import solve_many
+    from repro.milp.telemetry import SolveContext
     from repro.serialize import model_from_dict
 
     docs = request.get("models")
@@ -295,15 +312,7 @@ def run_solve(request: dict[str, Any], ctx: JobContext,
         models = [model_from_dict(doc) for doc in docs]
     except (KeyError, TypeError, ValueError) as exc:
         raise BadRequest(f"invalid model document: {exc}") from exc
-    backend = request.get("backend", "highs")
-    if backend not in available_backends():
-        raise BadRequest(f"unknown backend {backend!r}; available: "
-                         f"{available_backends()}")
-    request_formulation = request.get("formulation")
-    if request_formulation is not None \
-            and request_formulation not in FORMULATIONS:
-        raise BadRequest(f"unknown formulation {request_formulation!r}; "
-                         f"available: {list(FORMULATIONS)}")
+    backend, request_formulation = _solve_axes(request)
 
     cache = None
     if request.get("solve_cache", True):
@@ -439,6 +448,7 @@ def validate_request(kind: str, request: dict[str, Any], *,
         docs = request.get("models")
         if not isinstance(docs, list) or not docs:
             raise BadRequest("request needs a non-empty 'models' list")
+        _solve_axes(request)
     elif kind == "eco":
         _parse_eco(request)
         if request.get("config") is not None:

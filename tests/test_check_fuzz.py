@@ -126,12 +126,16 @@ class TestRunDifferential:
         assert all(s.status is SolveStatus.ERROR for s in results.values())
         assert any(d.kind == "crash" for d in disagreements)
 
-    def test_scalar_frontier_axis_present(self):
+    def test_variant_labels(self):
+        """Each applicable backend runs raw and through presolve — no
+        other variant axis (simplex is LP-only, so an integer model skips
+        it)."""
         results, disagreements = run_differential(tiny_milp(),
                                                   time_limit=10.0)
         assert not disagreements
-        assert "bnb+scalar" in results
-        assert results["bnb+scalar"].status is SolveStatus.OPTIMAL
+        assert sorted(results) == [
+            "bnb", "bnb+presolve", "highs", "highs+presolve",
+            "portfolio", "portfolio+presolve", "smt", "smt+presolve"]
 
 
 class TestCompareResults:

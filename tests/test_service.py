@@ -299,6 +299,28 @@ class TestHttpContracts:
         assert code == 400
         assert "warp_factor" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("floorplan", "backend", "bogus"),
+        ("floorplan", "lp_engine", "bogus"),
+        ("floorplan", "lp_engine", "highs-linprog"),
+        ("solve", "backend", "bogus"),
+        ("solve", "formulation", "bogus"),
+    ])
+    def test_unknown_solver_name(self, tiny_netlist, kind, field, value):
+        """An unregistered solver name is rejected at submit time, not
+        queued to fail in a worker."""
+        if kind == "floorplan":
+            sub = _floorplan_submission(tiny_netlist, **{field: value})
+        else:
+            model = Model(name="m")
+            model.set_objective(model.add_var("x", lb=0.0, ub=1.0))
+            sub = {"kind": "solve", "models": [model_to_dict(model)],
+                   field: value}
+        with running_service() as (_service, client):
+            code, doc = client.submit(sub)
+        assert code == 400
+        assert repr(value) in doc["error"]["message"]
+
     def test_invalid_netlist(self):
         with running_service() as (_service, client):
             code, doc = client.submit({"kind": "floorplan",

@@ -350,16 +350,9 @@ class TestRegistryIntegration:
 
 def _declared(formulation=None, outline=None, eco=None) -> dict:
     """The solve()/solve_many() keyword arguments that declare how a model
-    was built.
+    was built."""
+    from repro.milp.telemetry import SolveContext
 
-    Written against both signatures — one ``SolveContext`` record, and the
-    per-axis keywords it replaced — so the pins below can be checked
-    unchanged against the code from before the record existed.
-    """
-    try:
-        from repro.milp.telemetry import SolveContext
-    except ImportError:
-        return {"formulation": formulation, "outline": outline, "eco": eco}
     return {"context": SolveContext(formulation=formulation, outline=outline,
                                     eco=eco)}
 

@@ -163,9 +163,9 @@ class TestCanonicalization:
         assert doc["elapsed_seconds"] > 0.0
 
     def test_execution_provenance_stripped(self):
-        """Frontier-store and batch counters describe how a solve ran, not
-        what it computed — canonicalization must null them so scalar vs
-        vectorized and batched vs sequential runs stay byte-comparable."""
+        """Frontier and batch counters describe how a solve ran, not what
+        it computed — canonicalization must null them so batched vs
+        sequential runs stay byte-comparable."""
         from repro.eval.report import canonicalize_telemetry
 
         netlist = random_netlist(5, seed=11)

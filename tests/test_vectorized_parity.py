@@ -7,8 +7,11 @@ frontier (contiguous arrays vs per-node objects), constraint assembly
 (:func:`repro.milp.solvers.registry.solve_many`).  Every fast path keeps a
 scalar reference, and this suite pins them against each other:
 
-* both B&B node stores produce identical statuses, objectives, bounds, and
-  node counts on seeded and hypothesis-generated instances;
+* the arena frontier and the per-node object frontier kept here as its
+  reference produce identical statuses, objectives, bounds, and node counts
+  on seeded and hypothesis-generated instances;
+* the persistent HiGHS engine and its per-call linprog fallback explore the
+  identical tree;
 * the assembled standard form equals a dense per-row scalar reconstruction
   exactly (no tolerance — same floats, same order);
 * the array-backed :class:`~repro.geometry.skyline.Skyline` and the covering
@@ -20,8 +23,12 @@ scalar reference, and this suite pins them against each other:
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import random
+from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +36,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.check.fuzz import _floorplan_shaped, generate_model
+from repro.core.config import FloorplanConfig
+from repro.core.formulation import SubproblemBuilder
 from repro.geometry.covering import (
     horizontal_cut_decomposition,
     merge_covering_rectangles,
@@ -39,17 +48,76 @@ from repro.geometry.skyline import Skyline
 from repro.milp.cache import SolveCache
 from repro.milp.model import Model, ObjectiveSense, Sense
 from repro.milp.solution import SolveStatus
-from repro.milp.solvers.branch_and_bound import solve_bnb
+from repro.milp.solvers import branch_and_bound as bnb
+from repro.milp.solvers.branch_and_bound import _Popped, solve_bnb
 from repro.milp.solvers.registry import solve, solve_many
+from repro.netlist.generators import random_netlist
 
 # ---------------------------------------------------------------------------
 # branch and bound: array frontier vs object frontier
 # ---------------------------------------------------------------------------
 
 
+@dataclass(order=True)
+class _Node:
+    """A branch-and-bound node: bound plus extra variable bounds."""
+
+    bound: float
+    tiebreak: int
+    depth: int = field(compare=False)
+    lb: np.ndarray = field(compare=False)
+    ub: np.ndarray = field(compare=False)
+
+
+class _ObjectFrontier:
+    """Reference frontier: one :class:`_Node` dataclass per node."""
+
+    def __init__(self, n_cols: int) -> None:
+        self._heap: list[_Node] = []
+        self._counter = itertools.count()
+        self.peak_nodes = 0
+        self.rows_reclaimed = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push_root(self, bound: float, lb: np.ndarray, ub: np.ndarray) -> None:
+        heapq.heappush(self._heap,
+                       _Node(bound, next(self._counter), 0, lb.copy(),
+                             ub.copy()))
+        self.peak_nodes = max(self.peak_nodes, len(self._heap))
+
+    def pop(self) -> _Popped:
+        node = heapq.heappop(self._heap)
+        return _Popped(node.bound, node.depth, node, node.lb, node.ub, True)
+
+    def branch(self, node: _Popped, bound: float, col: int,
+               floor_val: float, ceil_val: float) -> None:
+        parent = node.slot
+        down_ub = parent.ub.copy()
+        down_ub[col] = floor_val
+        up_lb = parent.lb.copy()
+        up_lb[col] = ceil_val
+        heapq.heappush(self._heap,
+                       _Node(bound, next(self._counter), parent.depth + 1,
+                             parent.lb.copy(), down_ub))
+        heapq.heappush(self._heap,
+                       _Node(bound, next(self._counter), parent.depth + 1,
+                             up_lb, parent.ub.copy()))
+        self.peak_nodes = max(self.peak_nodes, len(self._heap))
+
+    def discard(self, node: _Popped) -> None:
+        pass
+
+    def prune_dominated(self, threshold: float) -> None:
+        pass
+
+
 def _bnb_pair(model: Model) -> None:
-    fast = solve_bnb(model, time_limit=20.0, node_store="arrays")
-    ref = solve_bnb(model, time_limit=20.0, node_store="objects")
+    fast = solve_bnb(model, time_limit=20.0)
+    with mock.patch.object(bnb, "_ArrayFrontier",
+                           side_effect=_ObjectFrontier) as reference:
+        ref = solve_bnb(model, time_limit=20.0)
     assert fast.status is ref.status
     assert fast.n_nodes == ref.n_nodes
     if fast.status.has_solution:
@@ -57,12 +125,13 @@ def _bnb_pair(model: Model) -> None:
         assert fast.bound == ref.bound
         assert {v.name: x for v, x in fast.values.items()} == \
             {v.name: x for v, x in ref.values.items()}
-    # Pure-LP instances are answered at the root without a frontier.
-    assert (fast.telemetry.frontier is None) == \
-        (ref.telemetry.frontier is None)
-    if fast.telemetry.frontier is not None:
-        assert fast.telemetry.frontier["store"] == "arrays"
-        assert ref.telemetry.frontier["store"] == "objects"
+    # Pure-LP and root-integral instances are answered without a frontier;
+    # every other one must have run on the reference.
+    assert reference.called == (fast.telemetry.frontier is not None)
+    if reference.called:
+        # Reclaimed rows leave tombstones on the heap, so the peak matches.
+        assert fast.telemetry.frontier["peak_nodes"] == \
+            ref.telemetry.frontier["peak_nodes"]
 
 
 class TestBnbStoreParity:
@@ -79,6 +148,59 @@ class TestBnbStoreParity:
     @given(seed=st.integers(min_value=0, max_value=10**9))
     def test_hypothesis_instances(self, seed):
         _bnb_pair(generate_model(random.Random(seed)))
+
+
+# ---------------------------------------------------------------------------
+# branch and bound: persistent HiGHS engine vs its linprog fallback
+# ---------------------------------------------------------------------------
+
+#: Trees are cut by node count, never by wall clock: a time limit would make
+#: the node counts of the two engines depend on their speed.
+FALLBACK_NODE_LIMIT = 300
+
+
+def _window_model(n_modules: int, seed: int) -> Model:
+    """One augmentation-style MILP placing a whole random netlist."""
+    modules = list(random_netlist(n_modules, seed=seed).modules)
+    width = math.sqrt(sum(m.area for m in modules)) * 1.2
+    config = FloorplanConfig(chip_width=width, use_envelopes=False)
+    return SubproblemBuilder(modules, [], width, config).model
+
+
+def _engine_pair(model: Model) -> None:
+    persistent = solve_bnb(model, node_limit=FALLBACK_NODE_LIMIT)
+    with mock.patch.object(bnb, "_PersistentHighsEngine",
+                           side_effect=ImportError("no _highspy")), \
+            mock.patch.object(bnb, "_LinprogEngine",
+                              side_effect=bnb._LinprogEngine) as fallback:
+        linprog = solve_bnb(model, node_limit=FALLBACK_NODE_LIMIT)
+    assert fallback.called
+    assert persistent.backend == linprog.backend == "bnb[highs]"
+    assert persistent.status is linprog.status
+    assert persistent.n_nodes == linprog.n_nodes
+    assert persistent.telemetry.lp_calls == linprog.telemetry.lp_calls
+    # assert_equal treats two NaNs (no incumbent, no bound) as equal.
+    np.testing.assert_equal((persistent.objective, persistent.bound),
+                            (linprog.objective, linprog.bound))
+    assert {v.name: x for v, x in persistent.values.items()} == \
+        {v.name: x for v, x in linprog.values.items()}
+    assert [e.objective for e in persistent.telemetry.incumbents] == \
+        [e.objective for e in linprog.telemetry.incumbents]
+
+
+class TestLinprogFallbackParity:
+    """Where SciPy lacks its vendored HiGHS bindings the ``"highs"`` engine
+    is one linprog call per node; it must explore the persistent engine's
+    tree exactly."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_instances(self, seed):
+        _engine_pair(generate_model(random.Random(seed * 911 + 17)))
+
+    @pytest.mark.parametrize("n_modules,seed",
+                             [(3, 0), (3, 3), (4, 0), (5, 1), (6, 0)])
+    def test_window_instances(self, n_modules, seed):
+        _engine_pair(_window_model(n_modules, seed))
 
 
 # ---------------------------------------------------------------------------
