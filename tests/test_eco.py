@@ -29,6 +29,7 @@ from repro.netlist.netlist import Netlist
 from repro.serialize import (delta_from_dict, delta_to_dict,
                              floorplan_from_dict, floorplan_to_dict)
 
+from eco_helpers import windowed_resize
 from service_helpers import running_service
 
 
@@ -337,9 +338,13 @@ class TestProvenance:
         assert cache.stats.hits == 1 and cache.stats.misses == 2
 
     def test_windowed_rung_counts_binaries_and_obstacles(self, baseline):
-        result = solve_eco(baseline, NetlistDelta(resized={"e": (2.0, 2.5)}))
+        delta = windowed_resize(baseline)
+        result = solve_eco(baseline, delta)
         windowed = [a for a in result.attempts if a.kind == "window"]
-        assert windowed and windowed[0].n_obstacles > 0
+        assert windowed and windowed[0].n_frozen > 0, \
+            f"resizing {delta.resized} needs a windowed rung with frozen " \
+            f"modules; attempts: {[a.to_dict() for a in result.attempts]}"
+        assert windowed[0].n_obstacles > 0
         assert windowed[0].n_binaries > 0
 
 
@@ -347,15 +352,19 @@ class TestProvenance:
 # direct-vs-service parity
 # ---------------------------------------------------------------------------
 
-def _strip_timing(value: Any) -> Any:
-    """Zero wall-clock fields and cache provenance so two runs of the same
-    deterministic solve compare byte-for-byte (the golden discipline)."""
+def _strip_timing(value: Any, key: str | None = None) -> Any:
+    """Zero wall-clock fields and incumbent timestamps and null cache
+    provenance, so two runs of the same deterministic solve compare
+    byte-for-byte (the golden discipline)."""
+    if key in ("wall_seconds", "elapsed_seconds", "solve_seconds",
+               "key_seconds", "total_solve_seconds"):
+        return 0.0
+    if key == "cache":
+        return None
+    if key == "incumbents":
+        return [[0.0, objective] for _seconds, objective in value]
     if isinstance(value, dict):
-        return {k: (0.0 if k in ("wall_seconds", "elapsed_seconds",
-                                 "solve_seconds", "key_seconds",
-                                 "total_solve_seconds")
-                    else None if k == "cache" else _strip_timing(v))
-                for k, v in value.items()}
+        return {k: _strip_timing(v, k) for k, v in value.items()}
     if isinstance(value, list):
         return [_strip_timing(v) for v in value]
     return value
