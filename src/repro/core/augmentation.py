@@ -27,7 +27,7 @@ from repro.geometry.covering import covering_rectangles
 from repro.geometry.polygon import CoveringPolygon
 from repro.geometry.rect import Rect
 from repro.milp.solution import Solution
-from repro.milp.solvers.registry import solve
+from repro.milp.solvers.registry import solve, solve_inputs
 from repro.milp.telemetry import SolveContext, SolveTelemetry
 from repro.netlist.netlist import Netlist
 
@@ -360,6 +360,8 @@ def _relinearize(build, config: FloorplanConfig,
 
     best = (builder, solution, placements)
     best_quality = quality(placements, solution.objective)
+    warm_starts = config.warm_start \
+        and solve_inputs(config.backend, config.presolve)[1]
 
     for _round in range(config.relinearization_rounds):
         overrides = {}
@@ -374,8 +376,7 @@ def _relinearize(build, config: FloorplanConfig,
             # geometry (the linearization shift is usually small enough for
             # it to stay feasible); encode() returns None when it is not,
             # and the stacked fallback takes over inside _solve_with_retry.
-            warm = next_builder.encode(placements) if config.warm_start \
-                else None
+            warm = next_builder.encode(placements) if warm_starts else None
             next_solution = _solve_with_retry(next_builder, config,
                                               warm_start=warm, eco=eco)
         except FloorplanError:
@@ -457,7 +458,10 @@ def _solve_with_retry(builder: SubproblemBuilder, config: FloorplanConfig,
     the covering-rectangle replacement reduces to "stack the new window
     above the floorplan" — :meth:`SubproblemBuilder.warm_start_stacked` —
     which is feasible by construction and becomes the branch-and-bound's
-    initial upper bound and/or presolve's objective cutoff.  With
+    initial upper bound and/or presolve's objective cutoff.  Symmetry
+    groups and warm starts are built only when
+    :func:`~repro.milp.solvers.registry.solve_inputs` says the backend's
+    solve reads them (HiGHS reads neither).  With
     ``config.solve_cache`` every solve goes through
     :mod:`repro.milp.cache`: re-linearization rounds whose window converged
     rebuild a structurally identical model, which the cache recognizes and
@@ -468,20 +472,21 @@ def _solve_with_retry(builder: SubproblemBuilder, config: FloorplanConfig,
     """
     outline = None if builder.outline_height is None \
         else (builder.chip_width, builder.outline_height)
-    extra: dict = {"presolve": config.presolve,
+    presolve, reads_warm_start = solve_inputs(config.backend, config.presolve)
+    extra: dict = {"presolve": presolve,
                    "context": SolveContext(formulation=config.formulation,
                                            outline=outline, eco=eco)}
-    if config.presolve:
+    if presolve:
         extra["symmetry_groups"] = builder.symmetry_groups()
     if config.solve_cache:
         from repro.milp.cache import get_cache
 
         extra["cache"] = get_cache(config.cache_dir)
-    if warm_start is None and config.warm_start and (
-            config.presolve or config.backend in ("bnb", "portfolio", "smt")):
-        warm_start = builder.warm_start_stacked()
-    if warm_start is not None:
-        extra["warm_start"] = warm_start
+    if reads_warm_start:
+        if warm_start is None and config.warm_start:
+            warm_start = builder.warm_start_stacked()
+        if warm_start is not None:
+            extra["warm_start"] = warm_start
     solution = solve(builder.model, backend=config.backend,
                      **config.solver_options(), **extra)
     if solution.status.has_solution:

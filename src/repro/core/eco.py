@@ -45,6 +45,7 @@ from repro.core.config import FloorplanConfig, Objective
 from repro.core.floorplanner import Floorplan
 from repro.core.formulation import AnchorAttraction, SubproblemBuilder
 from repro.geometry.rect import GEOM_EPS, Rect
+from repro.milp.solvers.registry import solve_inputs
 from repro.netlist.module import Module
 from repro.netlist.net import Net
 from repro.netlist.netlist import Netlist
@@ -471,11 +472,13 @@ def _solve_window(baseline: Floorplan, patched: Netlist,
     eco_shape = (len(window), len(frozen))
     builder = build()
     # Warm start from the previous placements (patched dimensions at the
-    # old positions); encode() validates feasibility, so a grown module
-    # that no longer fits falls back to the shelf-stacked incumbent.
+    # old positions) when the solve reads one; encode() validates
+    # feasibility, so a grown module that no longer fits falls back to the
+    # shelf-stacked incumbent.
     warm_start = None
     candidates = _window_candidates(baseline, patched, window)
-    if candidates is not None:
+    if candidates is not None \
+            and solve_inputs(config.backend, config.presolve)[1]:
         warm_start = builder.encode(candidates)
     solution = _solve_with_retry(builder, config, warm_start=warm_start,
                                  eco=eco_shape)

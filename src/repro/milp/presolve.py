@@ -4,9 +4,10 @@ The paper's eq. (2) non-overlap disjunctions are the textbook case of a weak
 big-M formulation: Huchette, Dey & Vielma show floor-layout MILPs tighten
 dramatically under standard reductions, and the SMT floorplanners (Banerjee
 et al.) win by pruning relative-position disjunctions before search.  This
-module applies the generic share of those reductions to *any* standard form,
-so every backend (HiGHS, the from-scratch branch-and-bound, the NumPy
-simplex, the racing portfolio) benefits identically:
+module applies the generic share of those reductions to *any* standard form;
+the registry runs it for the backends that gain from it (the from-scratch
+branch-and-bound, the NumPy simplex, the racing portfolio, the smt search)
+and leaves HiGHS to its own presolve:
 
 * **bound propagation** — worklist-driven activity propagation tightens
   variable boxes (e.g. ``x_i + w_i <= W`` turns ``ub(x_i) = W`` into
@@ -554,8 +555,7 @@ class _Presolver:
 
 def presolve_form(form: StandardForm, *,
                   symmetry_groups: Sequence[Sequence[Variable]] = (),
-                  objective_cutoff: float | None = None,
-                  coefficient_tightening: bool = True) -> PresolveResult:
+                  objective_cutoff: float | None = None) -> PresolveResult:
     """Run the full presolve pipeline on ``form``.
 
     Args:
@@ -567,12 +567,6 @@ def presolve_form(form: StandardForm, *,
         objective_cutoff: internal-minimize-sense value ``c @ x`` of a known
             feasible point; adds the valid row ``c @ x <= cutoff`` (padded)
             before propagation.
-        coefficient_tightening: run the Savelsbergh big-M reduction.  It is
-            always objective-preserving, but only pays off for solvers whose
-            LP relaxations see the tightened rows verbatim (the from-scratch
-            branch-and-bound); HiGHS re-presolves internally and its
-            heuristics react badly to pre-shrunk coefficients, so the
-            registry disables this step for it.
 
     Returns:
         The :class:`PresolveResult` with the reduced form, the fixed-column
@@ -580,7 +574,7 @@ def presolve_form(form: StandardForm, *,
     """
     pre = _Presolver(form, symmetry_groups, objective_cutoff)
     pre.propagate()
-    if coefficient_tightening and not pre.infeasible:
+    if not pre.infeasible:
         # Tightened coefficients change activities, enabling another round
         # of propagation (and vice versa); two alternations capture the
         # cascade without open-ended looping.

@@ -1,12 +1,15 @@
 """Backend registry: dispatch ``solve(model, backend=...)``.
 
 The registry is also where the optional presolve layer lives: with
-``presolve=True`` the model's standard form is reduced once (bound
-propagation, big-M tightening, fixed-column elimination, symmetry rows,
-warm-start objective cutoff) and the *reduced* form is handed to the
-backend; the returned solution is postsolved back to the original space, so
-callers — including the independent certifier — never see reduced-space
-values.
+``presolve=True`` and a backend that gains from it (bnb, portfolio,
+simplex, smt; HiGHS presolves every model itself) the model's standard form
+is reduced once (bound propagation, big-M tightening, fixed-column
+elimination, symmetry rows, warm-start objective cutoff) and the *reduced*
+form is handed to the backend; the returned solution is postsolved back to
+the original space, so callers — including the independent certifier —
+never see reduced-space values.  :func:`solve_inputs` is the one place
+that decides, per backend, whether presolve runs and whether anything
+reads a warm start.
 
 It is also the single choke point for the canonical solve cache
 (:mod:`repro.milp.cache`): with ``cache=...`` every backend — bnb, simplex,
@@ -70,23 +73,34 @@ _BACKENDS: dict[str, Callable[..., Solution]] = {
     "smt": _solve_smt,
 }
 
-#: Backends that accept a ``warm_start`` incumbent (HiGHS via scipy exposes
-#: no warm-start API; for it the warm start still powers the presolve
-#: objective cutoff).
+#: Backends that accept a ``warm_start`` incumbent.  HiGHS via scipy
+#: exposes no warm-start API and simplex solves LPs from scratch; for
+#: simplex a warm start still powers presolve's objective cutoff.
 _WARM_START_BACKENDS = frozenset({"bnb", "portfolio", "smt"})
 
-#: Backends whose LP relaxations benefit from Savelsbergh coefficient
-#: tightening.  HiGHS runs its own (stronger) presolve and its heuristics
-#: measurably degrade on pre-shrunk big-M rows, so it gets bound
-#: propagation, row/column elimination, and the cutoff row — but keeps the
-#: original coefficients.  The smt backend's interval propagation prunes
-#: harder on the tightened rows too.
-_COEF_TIGHTEN_BACKENDS = frozenset({"bnb", "portfolio", "simplex", "smt"})
+#: Backends the registry presolves for: the from-scratch solvers see the
+#: reduced, coefficient-tightened rows verbatim (bnb explores 2-3.4x fewer
+#: nodes; the smt backend's interval propagation prunes harder too).  HiGHS
+#: presolves every model itself, so ours would only cost time.
+_PRESOLVE_BACKENDS = frozenset({"bnb", "portfolio", "simplex", "smt"})
 
 
 def available_backends() -> tuple[str, ...]:
     """Names accepted by :func:`solve`."""
     return tuple(_BACKENDS)
+
+
+def solve_inputs(backend: str, presolve: bool) -> tuple[bool, bool]:
+    """``(presolve runs, a warm start is read)`` for a solve on ``backend``.
+
+    Presolve runs when asked for and ``backend`` gains from it; a warm start
+    is read by the backends that take one and by presolve's objective
+    cutoff.  :func:`solve` and :func:`solve_many` drop the inputs nothing
+    reads before keying the cache, so such settings never split keys, and
+    callers need not build them.
+    """
+    runs = presolve and backend in _PRESOLVE_BACKENDS
+    return runs, runs or backend in _WARM_START_BACKENDS
 
 
 def _presolved_outcome(backend: str, form: StandardForm, result,
@@ -178,9 +192,11 @@ def solve(model: Model, backend: str = "highs", *,
             (:mod:`repro.milp.presolve`) and hand the backend the reduced
             form; the solution is postsolved to the original space and its
             telemetry carries the :class:`~repro.milp.presolve.PresolveReport`.
+            Ignored for ``"highs"``, which presolves every model itself
+            (see :func:`solve_inputs`).
         warm_start: a known-feasible full-space assignment.  Seeds the
-            branch-and-bound incumbent (``bnb`` / ``portfolio``) and, with
-            ``presolve=True``, adds an objective-cutoff row for any backend.
+            ``bnb`` / ``portfolio`` / ``smt`` incumbent and, where presolve
+            runs, adds an objective-cutoff row; ignored otherwise.
         symmetry_groups: groups of interchangeable variables handed to
             presolve for symmetry-breaking rows (ignored without presolve).
         cache: a :class:`~repro.milp.cache.SolveCache`; when given, the
@@ -188,10 +204,10 @@ def solve(model: Model, backend: str = "highs", *,
             solving happens, and a proven-OPTIMAL result is stored after.
             Hits are re-certified against the raw standard form before
             being served (see :mod:`repro.milp.cache`).  The key folds in
-            ``backend``, ``presolve``, warm-start presence, the
-            ``mip_rel_gap`` / ``int_tol`` tolerances and ``context``, so
-            configurations that could return different optimal vertices
-            never share an entry.
+            ``backend``, whether presolve runs, whether a warm start is
+            read, the ``mip_rel_gap`` / ``int_tol`` tolerances and
+            ``context``, so configurations that could return different
+            optimal vertices never share an entry.
         form: a precomputed ``model.to_standard_form()``; batching callers
             (:func:`solve_many`) pass it so canonicalization and cache-key
             hashing happen once per instance, not once per variant.
@@ -210,6 +226,11 @@ def solve(model: Model, backend: str = "highs", *,
         raise ValueError(
             f"unknown backend {backend!r}; available: {available_backends()}"
         ) from None
+    presolve, reads_warm_start = solve_inputs(backend, presolve)
+    if not reads_warm_start:
+        warm_start = None
+    if not presolve:
+        symmetry_groups = ()
 
     key: str | None = None
     key_seconds = 0.0
@@ -267,9 +288,11 @@ def _solve_uncached(fn: Callable[..., Solution], model: Model, backend: str,
                     warm_start: Mapping[Variable, float] | None,
                     symmetry_groups: Sequence[Sequence[Variable]],
                     **options) -> Solution:
-    """The pre-cache solve path: optional presolve, then the backend."""
+    """The pre-cache solve path: optional presolve, then the backend.  The
+    inputs arrive as :func:`solve_inputs` leaves them: without presolve, a
+    warm start is one the backend takes."""
     if not presolve:
-        if warm_start is not None and backend in _WARM_START_BACKENDS:
+        if warm_start is not None:
             options["warm_start"] = warm_start
         if form is not None:
             options["form"] = form
@@ -280,9 +303,8 @@ def _solve_uncached(fn: Callable[..., Solution], model: Model, backend: str,
     if form is None:
         form = model.to_standard_form()
     cutoff = internal_objective(form, warm_start) if warm_start else None
-    result = presolve_form(
-        form, symmetry_groups=symmetry_groups, objective_cutoff=cutoff,
-        coefficient_tightening=backend in _COEF_TIGHTEN_BACKENDS)
+    result = presolve_form(form, symmetry_groups=symmetry_groups,
+                           objective_cutoff=cutoff)
     if result.infeasible:
         fallback = _cutoff_incumbent_outcome(model, backend, form, result,
                                              warm_start, cutoff)
@@ -437,6 +459,12 @@ def solve_many(models: Sequence[Model], backend: str = "highs", *,
     if len(warm_list) != n or len(sym_list) != n:
         raise ValueError("warm_starts / symmetry_groups_many must align "
                          "with models")
+    # As in solve(), so parent-side keys and worker payloads match it.
+    presolve, reads_warm_start = solve_inputs(backend, presolve)
+    if not reads_warm_start:
+        warm_list = [None] * n
+    if not presolve:
+        sym_list = [()] * n
 
     from repro.parallel import parallel_map, resolve_workers
 

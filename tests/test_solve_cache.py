@@ -370,7 +370,9 @@ def _pinned_doc(telemetry) -> str:
 #: ``(formulation, outline, eco, presolve, warm start)`` -> the SHA-256
 #: cache key, and the SHA-256 of :func:`_pinned_doc`.  Cache keys name the
 #: blobs of on-disk cache tiers, so a changed key turns a warm tier cold;
-#: ``formulation=None`` and ``"bigm"`` key apart for that reason.
+#: ``formulation=None`` and ``"bigm"`` key apart for that reason.  HiGHS
+#: reads neither presolve nor a warm start, so those two cases pin the
+#: plain case's key and bytes.
 CONTEXT_PINS = {
     (None, None, None, False, False): (
         "7595243bbcb8b79d407ea7a62ff2d5e11381bd5210eb8d8c2dead2b674894571",
@@ -388,14 +390,14 @@ CONTEXT_PINS = {
         "86df1ad8745556f515566f721866fe62157d1524565ce5bf513f6ec2f03bc611",
         "ddd9f9c1c97f6124e22447621b29c6f50703d05dd4fd3e869e709063d03d90ef"),
     (None, None, None, True, False): (
-        "75a33a22666844897c8beb7d1197bf388ecc1e66fcc49a929d91360f1efe5932",
-        "b8988007b6c0fed296be1e6c17ae61bcf53c752c99e31d8570addb81abf66179"),
+        "7595243bbcb8b79d407ea7a62ff2d5e11381bd5210eb8d8c2dead2b674894571",
+        "8629cf961e08095769ead6fa0c03a9c83f14ec1712cda401c42901f6b8ec1dbb"),
     (None, None, None, False, True): (
-        "e2802f499ba62f4d8bd8634feb6f38239831e2cd070d5d2e391e5650d1af27ee",
-        "e9623b32fd12a24d6c02d54ff2abeada8ec6fe5580ea31ca6d8022ea4c8d20c3"),
+        "7595243bbcb8b79d407ea7a62ff2d5e11381bd5210eb8d8c2dead2b674894571",
+        "8629cf961e08095769ead6fa0c03a9c83f14ec1712cda401c42901f6b8ec1dbb"),
     ("unary", (10, 8), (2, 7), True, True): (
-        "1e5433ded4934a4f36ccec9510d514b6e885800f66735f042ecb2d3b68632cd5",
-        "4ba1eb291c2f7cac0f63a912528958bc9555b31d6f2b12a6c90a1b1904c64636"),
+        "32f38e55aa8eaf81640a7e4817b704df2e44284c02810ab35e21782094730aa0",
+        "c3d28e1a358bfeab59146d2b2f70a294a023421747d8214dbb3b873e3399499c"),
 }
 
 
