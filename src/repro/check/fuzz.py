@@ -7,9 +7,10 @@ expected failure mode — exactly what Huchette et al. observe across
 floor-layout formulation variants.  This harness generates seeded random
 instances (pure LPs, boxed random MILPs, and floorplan-shaped subproblems
 straight from :class:`SubproblemBuilder`), runs every applicable backend on
-the identical model — each both raw and through the presolve layer
-(``"<backend>+presolve"``) — cross-checks the claims, and greedily shrinks
-any disagreement to a minimal JSON reproducer.
+the identical model — each raw and, where the registry presolves for it,
+through the presolve layer too (``"<backend>+presolve"``) — cross-checks
+the claims, and greedily shrinks any disagreement to a minimal JSON
+reproducer.
 
 With the formulation axis on (the default), every floorplan-shaped case is
 generated *twice from the same random state* — once per registered
@@ -48,7 +49,8 @@ from repro.check.certificate import check_certificate
 from repro.milp.expr import VarKind, lin_sum
 from repro.milp.model import Model, ObjectiveSense
 from repro.milp.solution import Solution, SolveStatus
-from repro.milp.solvers.registry import available_backends, solve_many
+from repro.milp.solvers.registry import available_backends, solve_inputs, \
+    solve_many
 from repro.milp.solvers.smt_dl import supports_model as _smt_supports
 from repro.milp.telemetry import DEFAULT_FORMULATION, FORMULATIONS
 from repro.serialize import model_from_dict, model_to_dict
@@ -258,11 +260,12 @@ def backends_for(model: Model,
 
 def _variant_plan(model: Model, backends: Sequence[str] | None,
                   presolve_axis: bool) -> list[tuple[str, str, bool]]:
-    """The (label, backend, presolve) variants for ``model``."""
+    """The (label, backend, presolve) variants for ``model``: a presolved
+    variant only for backends the registry presolves for."""
     plan: list[tuple[str, str, bool]] = []
     for name in backends_for(model, backends):
         plan.append((name, name, False))
-        if presolve_axis:
+        if presolve_axis and solve_inputs(name, True)[0]:
             plan.append((f"{name}+presolve", name, True))
     return plan
 
@@ -325,8 +328,9 @@ def run_differential(model: Model, *, backends: Sequence[str] | None = None,
                      ) -> tuple[dict[str, Solution], list[Disagreement]]:
     """Run every applicable backend on ``model`` and cross-check the claims.
 
-    With ``presolve_axis`` (the default) every backend is run twice — raw and
-    through the :mod:`repro.milp.presolve` layer (reported under the
+    With ``presolve_axis`` (the default) every backend the registry
+    presolves for is run twice — raw and through the
+    :mod:`repro.milp.presolve` layer (reported under the
     ``"<backend>+presolve"`` key) — so presolve bugs that cut the optimum or
     corrupt the postsolve mapping surface as cross-variant disagreements on
     the identical model.
@@ -604,7 +608,7 @@ def fuzz(n: int = 25, seed: int = 0, *,
     Every disagreement is shrunk to a minimal reproducer; with
     ``artifact_dir`` set, each reproducer is also written to
     ``fuzz_repro_seed<seed>_case<i>.json`` there.  ``presolve_axis``
-    doubles every backend into raw / ``+presolve`` variants (see
+    doubles every presolving backend into raw / ``+presolve`` variants (see
     :func:`run_differential`); ``formulation_axis`` builds every
     floorplan-shaped case once per non-overlap encoding from the same
     random state and cross-checks the encodings' claims
