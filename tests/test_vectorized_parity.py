@@ -493,10 +493,12 @@ class TestSolveManyParity:
             assert sol.telemetry.batch == {"size": len(models), "index": i}
 
     def test_presolve_and_warm_start_thread_through(self):
+        # bnb: the registry leaves HiGHS to its own presolve.
         models = _batch_models(4, seed=4)
-        sequential = [solve(m, time_limit=20.0, presolve=True)
+        sequential = [solve(m, backend="bnb", time_limit=20.0, presolve=True)
                       for m in models]
-        batch = solve_many(models, time_limit=20.0, presolve=True)
+        batch = solve_many(models, backend="bnb", time_limit=20.0,
+                           presolve=True)
         _assert_solutions_equal(batch, sequential)
 
     def test_capture_mode_isolates_errors(self):
