@@ -12,10 +12,9 @@ a small-instance quick mode with tighter time limits — the mode CI runs —
 and either mode writes the per-solve telemetry of every instance to
 ``results/suite_telemetry.json`` as a machine-readable perf artifact.
 Suite instances always solve on the ``highs`` backend (the backend
-``BENCH_baseline.json`` records).
-``REPRO_BENCH_PRESOLVE=0`` disables the MILP presolve + warm-start layer,
-producing the baseline half of the CI bench job's presolve-parity diff
-(``benchmarks/diff_objectives.py`` compares the two canonical artifacts).
+``BENCH_baseline.json`` records) with the default presolve and warm-start
+settings; per-step presolve parity is a tier-1 test
+(``tests/test_presolve.py``).
 ``REPRO_BENCH_FORMULATION=unary`` runs the whole suite under the unary
 non-overlap encoding — the bench job's end-to-end formulation leg (the
 per-solve parity gates live in ``bench_formulations.py``).
@@ -65,11 +64,6 @@ UTILIZATION_FLOOR = 0.45
 #: Environment variable selecting the CI smoke configuration.
 QUICK_ENV = "REPRO_BENCH_QUICK"
 
-#: Environment variable toggling the MILP presolve + warm-start layer.
-#: On by default; ``0`` / ``off`` runs the suite without it — the baseline
-#: half of the CI bench job's presolve-parity diff.
-PRESOLVE_ENV = "REPRO_BENCH_PRESOLVE"
-
 #: Environment variable selecting the non-overlap formulation (default
 #: ``bigm``).  The CI bench job's unary leg sets ``unary`` to prove the
 #: stronger encoding carries the full pipeline end to end; trajectories
@@ -92,12 +86,6 @@ def quick_mode() -> bool:
     return os.environ.get(QUICK_ENV, "").strip() not in ("", "0")
 
 
-def presolve_mode() -> bool:
-    """True (default) when the suite solves through the presolve layer."""
-    return os.environ.get(PRESOLVE_ENV, "").strip().lower() \
-        not in ("0", "off", "false")
-
-
 def suite_formulation() -> str:
     """The non-overlap formulation the suite runs on (default ``bigm``)."""
     return os.environ.get(FORMULATION_ENV, "").strip() or "bigm"
@@ -108,7 +96,7 @@ def expect_warm() -> bool:
     return os.environ.get(EXPECT_WARM_ENV, "").strip() not in ("", "0")
 
 
-def _run_one(make, time_limit: float, presolve: bool) -> dict:
+def _run_one(make, time_limit: float) -> dict:
     """Full pipeline on one instance (module-level so it pickles for
     process workers); returns the table row plus the telemetry document."""
     technology = Technology.around_the_cell()
@@ -120,8 +108,7 @@ def _run_one(make, time_limit: float, presolve: bool) -> dict:
                              use_envelopes=True, technology=technology,
                              subproblem_time_limit=time_limit,
                              backend="highs",
-                             formulation=suite_formulation(),
-                             presolve=presolve, warm_start=presolve)
+                             formulation=suite_formulation())
     plan = Floorplanner(netlist, config).run()
     routed = route_and_adjust(plan.placements, plan.chip, netlist,
                               technology, mode=RouterMode.WEIGHTED)
@@ -203,8 +190,7 @@ def _run_suite() -> list[dict]:
     else:
         makes = (apte_like, xerox_like, hp_like, ami33_like)
         time_limit = 20.0
-    runner = functools.partial(_run_one, time_limit=time_limit,
-                               presolve=presolve_mode())
+    runner = functools.partial(_run_one, time_limit=time_limit)
     return parallel_map(runner, makes, workers=None)
 
 
@@ -240,7 +226,7 @@ def test_full_suite(benchmark, results_dir):
     artifact = {
         "version": 1,
         "mode": mode,
-        "presolve": presolve_mode(),
+        "presolve": True,
         "formulation": suite_formulation(),
         "cache": {"hits": total_hits, "lookups": total_lookups,
                   "hit_rate": suite_hit_rate, "instances": cache_rows},
@@ -253,7 +239,7 @@ def test_full_suite(benchmark, results_dir):
     canonical = {
         "version": 1,
         "mode": mode,
-        "presolve": presolve_mode(),
+        "presolve": True,
         "formulation": suite_formulation(),
         "instances": [canonicalize_telemetry(r["telemetry"])
                       for r in results],
@@ -273,7 +259,7 @@ def test_full_suite(benchmark, results_dir):
         "rev": bench_rev(),
         "mode": mode,
         "backend": "highs",
-        "presolve": presolve_mode(),
+        "presolve": True,
         "formulation": suite_formulation(),
         "fixtures": fixtures,
     }

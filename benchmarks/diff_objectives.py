@@ -1,16 +1,12 @@
 """Diff two canonical suite-telemetry artifacts on solve outcomes.
 
-The CI bench job runs ``bench_suite.py`` with
-``REPRO_BENCH_PRESOLVE=0`` (baseline) and with the presolve + warm-start
-layer on (candidate) and feeds both ``suite_telemetry_canonical.json``
-artifacts through this tool (it diffs a cold and a warm solve-cache run
-the same way).  Presolve
-is objective-preserving by construction, so every augmentation step must
+The CI bench job runs ``bench_suite.py`` twice against one solve-cache
+directory, cold (baseline) and warm (candidate), and feeds both
+``suite_telemetry_canonical.json`` artifacts through this tool.  A cache
+hit is re-certified before it is served, so every augmentation step must
 reach the same status and the same optimal objective; only solver effort
 (nodes, LP calls, wall time) may differ.  Objectives are compared with a
-small relative tolerance: the reduced and original formulations are
-equivalent but not identical LPs, so backends legitimately return
-different optimal *vertices* whose objectives agree only to roundoff.
+small relative tolerance, well above LP roundoff.
 
 Exit status 0 when the artifacts agree, 1 on any mismatch (missing
 instance, step-count drift, status change, objective beyond tolerance).
@@ -85,9 +81,9 @@ def _node_totals(doc: dict[str, Any]) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", type=Path,
-                        help="canonical artifact of the presolve-off run")
+                        help="canonical artifact of the cold-cache run")
     parser.add_argument("candidate", type=Path,
-                        help="canonical artifact of the presolve-on run")
+                        help="canonical artifact of the warm-cache run")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="relative objective tolerance "
                              f"(default {DEFAULT_TOL:g})")
