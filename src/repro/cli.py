@@ -128,9 +128,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "big-Ms and valid inequalities (same optima, "
                              "fewer branch-and-bound nodes)")
     parser.add_argument("--no-presolve", action="store_true",
-                        help="skip the solver-independent MILP presolve "
-                             "layer (bound tightening, big-M reduction, "
-                             "symmetry breaking)")
+                        help="skip the formulation's dominated-binary "
+                             "fixing and, on bnb/portfolio/simplex/smt, the "
+                             "solver-independent MILP presolve layer (bound "
+                             "tightening, big-M reduction, symmetry "
+                             "breaking; HiGHS always presolves itself)")
     parser.add_argument("--no-warm-start", action="store_true",
                         help="skip cross-step warm starting (stacked "
                              "incumbents and the presolve objective cutoff)")

@@ -145,18 +145,23 @@ class FloorplanConfig:
             :class:`~repro.core.augmentation.AugmentationStep`) and attach
             a whole-floorplan geometry report to the result.  Off by
             default; adds checker time per step.
-        presolve: run the solver-independent presolve layer
-            (:mod:`repro.milp.presolve`) on every subproblem — bound
-            tightening, big-M/coefficient reduction, dominated-binary
-            fixing, redundant-row removal, symmetry-breaking rows — before
-            the backend sees it.  The optimal objective is unchanged by
+        presolve: fix dominated relative-position binaries while building
+            each subproblem and, on the backends the registry presolves
+            for (bnb, portfolio, simplex, smt; see
+            :func:`repro.milp.solvers.registry.solve_inputs`), run the
+            solver-independent presolve layer (:mod:`repro.milp.presolve`)
+            — bound tightening, big-M/coefficient reduction, redundant-row
+            removal, symmetry-breaking rows — before the backend sees the
+            model.  HiGHS presolves every model itself, so it gets the
+            unreduced model.  The optimal objective is unchanged by
             construction (the presolve-parity suite pins this down).
         warm_start: seed each subproblem with a feasible incumbent — a
             stacked placement of the window above the current floorplan
             (cross-step), or the previous round's geometry
-            (re-linearization).  Bounds the branch-and-bound from node one
-            and, with ``presolve``, powers the objective-cutoff row for
-            every backend.
+            (re-linearization).  Bounds the bnb, portfolio and smt searches
+            from node one and, where presolve runs, powers its
+            objective-cutoff row; HiGHS reads no warm start, so none is
+            built for it.
         solve_cache: consult the canonical solve cache
             (:mod:`repro.milp.cache`) for every subproblem — re-linearization
             rounds and repeated width candidates reuse structurally identical

@@ -105,7 +105,7 @@ FIXTURES = {
         outline=(8.0, 10.0), formulation="unary")),
     # The ECO golden re-runs the apte fixture, then patches it through the
     # incremental engine; the delta below disturbs only the top-right
-    # corner, so the level-0 window is a 2-module subset and the golden
+    # corner, so the level-0 window is a 3-module subset and the golden
     # pins the windowed re-solve path (plan bytes + escalation provenance).
     "eco_bigm": lambda: (apte_like(), _golden_config(seed_size=4,
                                                      group_size=3)),
