@@ -14,9 +14,7 @@ purely from geometry — no solver duals needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import networkx as nx
+from typing import Mapping, Sequence
 
 from repro.core.placement import Placement
 from repro.core.topology import Relation, derive_relations
@@ -77,7 +75,8 @@ def critical_chain(placements: Sequence[Placement], axis: str = "y", *,
     longest path weighted by module extents and binding gaps.
 
     Raises:
-        ValueError: for an unknown axis or empty placement set.
+        ValueError: for an unknown axis, an empty placement set, or binding
+            relations that form a cycle.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
@@ -92,15 +91,12 @@ def critical_chain(placements: Sequence[Placement], axis: str = "y", *,
     def low_edge(p: Placement) -> float:
         return p.envelope.x if axis == "x" else p.envelope.y
 
-    graph = nx.DiGraph()
-    graph.add_node("source")
-    graph.add_node("sink")
+    weights: dict[tuple[str, str], float] = {}
     for p in placement_list:
-        graph.add_node(p.name)
-        graph.add_edge(p.name, "sink", weight=0.0)
+        weights[p.name, "sink"] = 0.0
         if low_edge(p) <= eps:
             # resting on the chip boundary: the chain can start here
-            graph.add_edge("source", p.name, weight=extent(p))
+            weights["source", p.name] = extent(p)
     for rel in binding_relations(placement_list, relations, eps=eps):
         if rel.axis != axis:
             continue
@@ -110,15 +106,54 @@ def critical_chain(placements: Sequence[Placement], axis: str = "y", *,
         # forward progress along the axis.
         if low_edge(second) < low_edge(first) - eps:
             continue
-        graph.add_edge(rel.first, rel.second,
-                       weight=extent(second) + rel.gap)
-    path = nx.dag_longest_path(graph, weight="weight")
-    total = nx.dag_longest_path_length(graph, weight="weight")
+        weights[rel.first, rel.second] = extent(second) + rel.gap
+    path, total = _longest_path(["source", "sink", *by_name], weights)
     modules = tuple(n for n in path if n not in ("source", "sink"))
     chip_extent = max((p.envelope.x2 if axis == "x" else p.envelope.y2)
                       for p in placement_list)
     return CriticalChain(axis=axis, modules=modules, extent=total,
                          chip_extent=chip_extent)
+
+
+def _longest_path(nodes: Sequence[str],
+                  weights: Mapping[tuple[str, str], float],
+                  ) -> tuple[list[str], float]:
+    """The heaviest path of a DAG with non-negative edge weights, and its
+    weight.
+
+    Ties resolve in insertion order: nodes are visited in Kahn generations,
+    each in node order; each node keeps its first heaviest predecessor, in
+    edge order; the path ends at the first heaviest node visited.
+
+    Raises:
+        ValueError: when the edges form a cycle.
+    """
+    succ: dict[str, list[str]] = {v: [] for v in nodes}
+    pred: dict[str, list[str]] = {v: [] for v in nodes}
+    for u, v in weights:
+        succ[u].append(v)
+        pred[v].append(u)
+    waiting = {v: len(us) for v, us in pred.items()}
+    generation = [v for v, n in waiting.items() if n == 0]
+    dist: dict[str, tuple[float, str]] = {}  # node -> (weight, predecessor)
+    while generation:
+        following = []
+        for v in generation:
+            reach = [(dist[u][0] + weights[u, v], u) for u in pred[v]]
+            dist[v] = max(reach, key=lambda r: r[0]) if reach else (0, v)
+            for w in succ[v]:
+                waiting[w] -= 1
+                if waiting[w] == 0:
+                    following.append(w)
+        generation = following
+    if len(dist) < len(pred):
+        raise ValueError("binding relations form a cycle")
+    end = max(dist, key=lambda v: dist[v][0])
+    path = [end]
+    while dist[path[-1]][1] != path[-1]:
+        path.append(dist[path[-1]][1])
+    path.reverse()
+    return path, dist[end][0]
 
 
 def chain_report(placements: Sequence[Placement]) -> str:

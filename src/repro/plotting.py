@@ -97,10 +97,10 @@ def _route_lines(routing: RoutingResult, channel_graph: ChannelGraph,
     lines: list[str] = []
     max_usage = max(routing.edge_usage.values(), default=1.0)
     for (u, v), usage in sorted(routing.edge_usage.items()):
-        if not channel_graph.graph.has_edge(u, v):
+        if channel_graph.edge_id(u, v) is None:
             continue
-        cu = channel_graph.graph.nodes[u]["center"]
-        cv = channel_graph.graph.nodes[v]["center"]
+        cu = channel_graph.cell_rect(u).center
+        cv = channel_graph.cell_rect(v).center
         width = 0.6 + 1.6 * (usage / max_usage)
         lines.append(
             f'<line x1="{sx(cu[0]):.1f}" y1="{sy(cu[1]):.1f}" '

@@ -155,14 +155,13 @@ def routed_crossings(channel_graph: ChannelGraph,
     An ``"h"`` edge crosses a horizontal boundary (``line`` is a y, the
     segment runs along x); a ``"v"`` edge crosses a vertical one.
     """
-    graph = channel_graph.graph
     crossings: dict[str, list[Crossing]] = {"h": [], "v": []}
     for (u, v), usage in routing.edge_usage.items():
-        if usage <= 0 or not graph.has_edge(u, v):
+        if usage <= 0 or (edge := channel_graph.edge_id(u, v)) is None:
             continue
-        orientation = graph.edges[u, v]["orientation"]
-        rect_u = graph.nodes[u]["rect"]
-        rect_v = graph.nodes[v]["rect"]
+        orientation = channel_graph.orientation[edge]
+        rect_u = channel_graph.cell_rect(u)
+        rect_v = channel_graph.cell_rect(v)
         if orientation == "h":
             line = rect_u.y2 if rect_u.y < rect_v.y else rect_v.y2
             seg_lo = max(rect_u.x, rect_v.x)

@@ -132,21 +132,17 @@ def channel_intervals(channel: Channel, channel_graph: ChannelGraph,
     channel).  Nets merely crossing the channel perpendicular to it don't
     occupy a track and are excluded.
     """
-    graph = channel_graph.graph
     along = "h" if channel.orientation == "v" else "v"
-    # orientation attr on edges: "h" = horizontal boundary = vertical wire
+    # edge orientation "h" = horizontal boundary = vertical wire
     spans: dict[str, tuple[float, float]] = {}
     for route in routing.routes:
         lo = hi = None
         for u, v in route.edges:
-            if not graph.has_edge(u, v):
+            edge = channel_graph.edge_id(u, v)
+            if edge is None or channel_graph.orientation[edge] != along:
                 continue
-            data = graph.edges[u, v]
-            if data["orientation"] != along:
-                continue
-            rect_u = graph.nodes[u]["rect"]
-            rect_v = graph.nodes[v]["rect"]
-            span = rect_u.union_bbox(rect_v)
+            span = channel_graph.cell_rect(u).union_bbox(
+                channel_graph.cell_rect(v))
             if not channel.rect.overlaps(span):
                 continue
             if channel.orientation == "v":

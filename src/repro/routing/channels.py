@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from repro.core.placement import Placement
 from repro.geometry.rect import GEOM_EPS, Rect
 from repro.routing.adjust import peak_demand, routed_crossings
-from repro.routing.graph import ChannelGraph, _cuts
+from repro.routing.graph import ChannelGraph, _blocked_cells, _cuts
 from repro.routing.result import RoutingResult
 from repro.routing.technology import Technology
 
@@ -60,14 +60,8 @@ def extract_channels(placements: Sequence[Placement], chip: Rect,
     ys = _cuts([chip.y, chip.y2]
                + [c for p in placements for c in (p.rect.y, p.rect.y2)],
                chip.y, chip.y2)
-    blockers = [p.rect for p in placements]
+    blocked = _blocked_cells([p.rect for p in placements], xs, ys)
     n_cols, n_rows = len(xs) - 1, len(ys) - 1
-    free = [[True] * n_rows for _ in range(n_cols)]
-    for i in range(n_cols):
-        for j in range(n_rows):
-            cell = Rect(xs[i], ys[j], xs[i + 1] - xs[i], ys[j + 1] - ys[j])
-            if any(b.overlaps(cell) for b in blockers):
-                free[i][j] = False
 
     channels: list[Channel] = []
     # Vertical channels: per column interval, maximal free row runs.
@@ -75,9 +69,9 @@ def extract_channels(placements: Sequence[Placement], chip: Rect,
     for i in range(n_cols):
         j = 0
         while j < n_rows:
-            if free[i][j]:
+            if (i, j) not in blocked:
                 j0 = j
-                while j < n_rows and free[i][j]:
+                while j < n_rows and (i, j) not in blocked:
                     j += 1
                 rect = Rect(xs[i], ys[j0], xs[i + 1] - xs[i], ys[j] - ys[j0])
                 if rect.w > min_extent:
@@ -92,9 +86,9 @@ def extract_channels(placements: Sequence[Placement], chip: Rect,
     for j in range(n_rows):
         i = 0
         while i < n_cols:
-            if free[i][j]:
+            if (i, j) not in blocked:
                 i0 = i
-                while i < n_cols and free[i][j]:
+                while i < n_cols and (i, j) not in blocked:
                     i += 1
                 rect = Rect(xs[i0], ys[j], xs[i] - xs[i0], ys[j + 1] - ys[j])
                 if rect.h > min_extent:

@@ -12,9 +12,9 @@ boundary.  For over-the-cell technologies every cell is free.  A ring of
 routing space is added around the chip so nets can always detour around the
 module block (around-the-cell routing).
 
-Beside the networkx graph, which plotting, channel extraction and reports
-read, :func:`build_channel_graph` keeps an integer-indexed view
-(:class:`GraphIndex`) for the router's search loops.
+The graph is held as plain lists over integer cell and edge ids: the
+router searches them, and plotting, channel extraction and the adjustment
+step look cells and edges up in them.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from repro.core.placement import Placement
 from repro.geometry.rect import GEOM_EPS, Rect
 from repro.routing.pins import GeneralizedPin
@@ -35,60 +33,60 @@ from repro.routing.technology import Technology
 Node = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class GraphIndex:
-    """The channel graph as lists, for the router's search loops.
+@dataclass
+class ChannelGraph:
+    """The channel-position graph as lists, plus its grid geometry.
 
     Cell ids follow sorted ``(i, j)`` order, so ids compare like the cells
-    they stand for; edge ids follow ``graph.edges()`` order.
+    they stand for.  Edge ids follow construction order: each cell's right
+    edge, then its top edge.
 
     Attributes:
-        nodes: the cell of each id.
-        ids: the id of each cell.
+        nodes: the ``(i, j)`` grid cell of each id.
+        ids: the id of each free cell.
+        rects: per cell id, the cell's rectangle.
         adjacency: per cell id, ``(neighbour id, edge id)`` pairs in the
-            networkx adjacency order.
-        ends: per edge id, its canonical cell pair (smaller cell first).
-        length: per edge id, the edge's ``length``.
-        capacity: per edge id, the edge's ``capacity``.
-        data: per edge id, the networkx edge attribute dict itself.
+            order the edges were added: left, bottom, right, top.
+        ends: per edge id, its cell pair (smaller cell first).
+        length: per edge id, the center-to-center distance.
+        capacity: per edge id, the tracks through the shared boundary.
+        orientation: per edge id, ``"h"`` for a horizontal boundary crossed
+            by vertical wires, ``"v"`` for a vertical boundary crossed by
+            horizontal wires.
+        usage: per edge id, the wires routed through it by the last
+            :meth:`~repro.routing.router.GlobalRouter.route` call.
+        xs: sorted x cut coordinates.
+        ys: sorted y cut coordinates.
+        region: the routed region (chip plus routing ring).
     """
 
     nodes: list[Node]
     ids: dict[Node, int]
+    rects: list[Rect]
     adjacency: list[list[tuple[int, int]]]
     ends: list[tuple[Node, Node]]
     length: list[float]
     capacity: list[float]
-    data: list[dict]
-
-
-@dataclass
-class ChannelGraph:
-    """The routing graph plus its grid geometry.
-
-    Attributes:
-        graph: undirected networkx graph; nodes are ``(i, j)`` cell indices
-            with attributes ``rect`` and ``center``; edges carry ``length``
-            (center-to-center distance), ``capacity`` (tracks through the
-            shared boundary), ``usage`` (routed wires so far), and
-            ``orientation`` (``"h"`` for a horizontal boundary crossed by
-            vertical wires, ``"v"`` for a vertical boundary crossed by
-            horizontal wires).
-        xs: sorted x cut coordinates.
-        ys: sorted y cut coordinates.
-        region: the routed region (chip plus routing ring).
-        index: the same graph as lists (:class:`GraphIndex`).
-    """
-
-    graph: nx.Graph
+    orientation: list[str]
+    usage: list[float]
     xs: list[float]
     ys: list[float]
     region: Rect
-    index: GraphIndex
 
     def cell_rect(self, node: Node) -> Rect:
         """Geometry of a cell node."""
-        return self.graph.nodes[node]["rect"]
+        return self.rects[self.ids[node]]
+
+    def edge_id(self, u: Node, v: Node) -> int | None:
+        """The id of the edge joining cells ``u`` and ``v``, or None when
+        they are not adjacent free cells."""
+        a, b = self.ids.get(u), self.ids.get(v)
+        if a is None or b is None:
+            return None
+        for w, e in self.adjacency[a]:
+            if w == b:
+                return e
+        return None
 
     def node_at(self, x: float, y: float) -> Node | None:
         """The cell containing point ``(x, y)``, or None when outside the
@@ -98,20 +96,31 @@ class ChannelGraph:
         i = min(max(i, 0), len(self.xs) - 2)
         j = min(max(j, 0), len(self.ys) - 2)
         node = (i, j)
-        return node if node in self.graph else None
+        return node if node in self.ids else None
 
     def main_component(self) -> frozenset[Node]:
-        """The largest connected component of free cells.
+        """The largest connected component of free cells; among equally
+        large ones, the one holding the lowest cell id.
 
         Compacted floorplans can enclose isolated free pockets; pins snap to
         the main component so every terminal is mutually reachable.
         """
         if getattr(self, "_main_component", None) is None:
-            if self.graph.number_of_nodes() == 0:
-                self._main_component = frozenset()
-            else:
-                biggest = max(nx.connected_components(self.graph), key=len)
-                self._main_component = frozenset(biggest)
+            seen = bytearray(len(self.nodes))
+            biggest: list[int] = []
+            for start in range(len(self.nodes)):
+                if seen[start]:
+                    continue
+                seen[start] = 1
+                component = [start]
+                for u in component:  # breadth-first: the list is the queue
+                    for v, _e in self.adjacency[u]:
+                        if not seen[v]:
+                            seen[v] = 1
+                            component.append(v)
+                if len(component) > len(biggest):
+                    biggest = component
+            self._main_component = frozenset(self.nodes[k] for k in biggest)
         return self._main_component
 
     def nearest_node(self, x: float, y: float, *,
@@ -126,12 +135,12 @@ class ChannelGraph:
         Raises:
             ValueError: when the graph has no nodes at all.
         """
-        if self.graph.number_of_nodes() == 0:
+        if not self.nodes:
             raise ValueError("channel graph has no free cells")
         allowed = self.main_component() if connected_only else None
 
         def acceptable(node: Node) -> bool:
-            return node in self.graph and (allowed is None or node in allowed)
+            return node in self.ids and (allowed is None or node in allowed)
 
         direct = self.node_at(x, y)
         if direct is not None and acceptable(direct):
@@ -151,7 +160,7 @@ class ChannelGraph:
                     queue.append((ni, nj))
         # Unreachable by construction (some free cell always exists), but
         # fall back to any node rather than crash.
-        return next(iter(self.graph.nodes))
+        return self.nodes[0]
 
     def pin_node(self, pin: GeneralizedPin) -> Node:
         """The routing node serving a generalized pin: the free cell just
@@ -165,13 +174,12 @@ class ChannelGraph:
 
     def reset_usage(self) -> None:
         """Clear routed usage on every edge."""
-        for _u, _v, data in self.graph.edges(data=True):
-            data["usage"] = 0.0
+        self.usage = [0.0] * len(self.ends)
 
     def total_overflow(self) -> float:
         """Summed usage beyond capacity over all edges."""
-        return sum(max(0.0, d["usage"] - d["capacity"])
-                   for _u, _v, d in self.graph.edges(data=True))
+        return sum(max(0.0, used - capacity)
+                   for used, capacity in zip(self.usage, self.capacity))
 
 
 def build_channel_graph(placements: Sequence[Placement], chip: Rect,
@@ -216,25 +224,27 @@ def build_channel_graph(placements: Sequence[Placement], chip: Rect,
     blocked = _blocked_cells(blockers, xs, ys)
 
     nodes: list[Node] = []
-    cells: list[Rect] = []
+    rects: list[Rect] = []
     for i in range(len(xs) - 1):
         for j in range(len(ys) - 1):
             if (i, j) not in blocked:
                 nodes.append((i, j))
-                cells.append(Rect(xs[i], ys[j], xs[i + 1] - xs[i],
+                rects.append(Rect(xs[i], ys[j], xs[i + 1] - xs[i],
                                   ys[j + 1] - ys[j]))
     ids = {node: k for k, node in enumerate(nodes)}
 
     # Each cell joins its right neighbour (a vertical boundary, crossed by
     # horizontal wires), then its top one (a horizontal boundary, crossed
-    # by vertical wires); networkx lists edges and adjacencies in this
-    # insertion order, which the index copies.
+    # by vertical wires).  The router's tie-breaks follow this edge and
+    # adjacency order, and total_overflow sums in edge order.
     adjacency: list[list[tuple[int, int]]] = [[] for _ in nodes]
     ends: list[tuple[Node, Node]] = []
-    attrs: list[dict] = []
+    length: list[float] = []
+    capacity: list[float] = []
+    orientation: list[str] = []
     for a, (i, j) in enumerate(nodes):
-        cell = cells[a]
-        for v, capacity, orientation in (
+        cell = rects[a]
+        for v, tracks, kind in (
                 ((i + 1, j), cell.h / technology.pitch_h, "v"),
                 ((i, j + 1), cell.w / technology.pitch_v, "h")):
             b = ids.get(v)
@@ -243,20 +253,13 @@ def build_channel_graph(placements: Sequence[Placement], chip: Rect,
             adjacency[a].append((b, len(ends)))
             adjacency[b].append((a, len(ends)))
             ends.append((nodes[a], v))
-            attrs.append({"length": _dist(cell.center, cells[b].center),
-                          "capacity": capacity, "usage": 0.0,
-                          "orientation": orientation})
-
-    graph = nx.Graph()
-    graph.add_nodes_from((node, {"rect": cell, "center": cell.center})
-                         for node, cell in zip(nodes, cells))
-    graph.add_edges_from((u, v, d) for (u, v), d in zip(ends, attrs))
-    edge_data = [d for _u, _v, d in graph.edges(data=True)]
-    index = GraphIndex(nodes=nodes, ids=ids, adjacency=adjacency, ends=ends,
-                       length=[d["length"] for d in edge_data],
-                       capacity=[d["capacity"] for d in edge_data],
-                       data=edge_data)
-    return ChannelGraph(graph=graph, xs=xs, ys=ys, region=region, index=index)
+            length.append(_dist(cell.center, rects[b].center))
+            capacity.append(tracks)
+            orientation.append(kind)
+    return ChannelGraph(nodes=nodes, ids=ids, rects=rects,
+                        adjacency=adjacency, ends=ends, length=length,
+                        capacity=capacity, orientation=orientation,
+                        usage=[0.0] * len(ends), xs=xs, ys=ys, region=region)
 
 
 def _blocked_cells(blockers: Sequence[Rect], xs: list[float],

@@ -17,11 +17,11 @@ terminal growth: the tree starts at one module's generalized pins and
 repeatedly absorbs the cheapest path to a not-yet-connected module (any of
 its four pins), updating channel usage as it goes.
 
-The search runs over the graph's integer-indexed view
-(:class:`~repro.routing.graph.GraphIndex`) with per-edge usage and cost
+The search runs over the graph's integer cell and edge ids
+(:class:`~repro.routing.graph.ChannelGraph`) with per-edge usage and cost
 lists: a commit re-costs only the edges it touches, a penalty change
-re-costs every edge once, and the final usage is written back to the
-networkx edges when :meth:`GlobalRouter.route` returns.
+re-costs every edge once, and :meth:`GlobalRouter.route` leaves its final
+usage list on the graph.
 """
 
 from __future__ import annotations
@@ -91,15 +91,15 @@ class GlobalRouter:
                 raise ValueError(f"duplicate net name {net.name!r}")
             names.add(net.name)
         channel_graph = self.channel_graph
-        index = channel_graph.index
-        self._usage = [0.0] * len(index.ends)
-        self._cost = list(index.length)
+        n_edges = len(channel_graph.ends)
+        self._usage = [0.0] * n_edges
+        self._cost = list(channel_graph.length)
         self._penalty = self.congestion_penalty
-        self._recost(range(len(index.ends)))
+        self._recost(range(n_edges))
 
         pin_ids: dict[str, list[int]] = {}
         for name, placement in placements.items():
-            pin_ids[name] = sorted({index.ids[channel_graph.pin_node(pin)]
+            pin_ids[name] = sorted({channel_graph.ids[channel_graph.pin_node(pin)]
                                     for pin in generalized_pins(placement)})
 
         # "Nets with the tight timing requirements are routed first"; among
@@ -123,7 +123,7 @@ class GlobalRouter:
                 break
             # pressure congestion harder each round
             self._penalty = self.congestion_penalty * (2.0 ** (round_index + 1))
-            self._recost(range(len(index.ends)))
+            self._recost(range(n_edges))
             for net in offenders:
                 old = routed.pop(net.name)
                 self._commit(old[1], -1.0)
@@ -135,8 +135,7 @@ class GlobalRouter:
                 self._commit(new[1], +1.0)
                 routed[net.name] = new
 
-        for data, usage in zip(index.data, self._usage):
-            data["usage"] = usage
+        channel_graph.usage = self._usage
         result = RoutingResult(failed_nets=failed)
         for net in order:
             if net.name not in routed:
@@ -148,9 +147,8 @@ class GlobalRouter:
                 result.edge_usage[key] = result.edge_usage.get(key, 0.0) + 1.0
         result.total_overflow = channel_graph.total_overflow()
         result.max_edge_utilization = max(
-            (d["usage"] / d["capacity"]
-             for _u, _v, d in channel_graph.graph.edges(data=True)
-             if d["capacity"] > 0),
+            (used / capacity for used, capacity
+             in zip(self._usage, channel_graph.capacity) if capacity > 0),
             default=0.0)
         return result
 
@@ -167,8 +165,8 @@ class GlobalRouter:
         """Edge costs under the current mode, penalty and usage."""
         if self.mode is RouterMode.SHORTEST:
             return
-        index = self.channel_graph.index
-        length, capacity = index.length, index.capacity
+        length = self.channel_graph.length
+        capacity = self.channel_graph.capacity
         usage, cost, penalty = self._usage, self._cost, self._penalty
         for e in edges:
             utilization = (usage[e] + 1.0) / max(capacity[e], 1e-9)
@@ -179,7 +177,7 @@ class GlobalRouter:
             nets_by_name: Mapping[str, Net]) -> list[Net]:
         """Nets using at least one over-capacity edge, least critical (and
         longest) first so timing-critical routes keep their paths."""
-        capacity = self.channel_graph.index.capacity
+        capacity = self.channel_graph.capacity
         hot = {e for e, used in enumerate(self._usage)
                if used > capacity[e] + 1e-9}
         if not hot:
@@ -221,10 +219,10 @@ class GlobalRouter:
 
         # Deduplicate edges shared by several branch paths.
         unique = tuple(dict.fromkeys(edges))
-        index = self.channel_graph.index
+        graph = self.channel_graph
         route = NetRoute(net=net.name,
-                         edges=tuple(index.ends[e] for e in unique),
-                         length=sum(index.length[e] for e in unique),
+                         edges=tuple(graph.ends[e] for e in unique),
+                         length=sum(graph.length[e] for e in unique),
                          n_terminals=len(terminals))
         return route, unique
 
@@ -240,8 +238,8 @@ class GlobalRouter:
         overlap = sources.intersection(targets)
         if overlap:
             return [min(overlap)], []
-        index = self.channel_graph.index
-        n = len(index.nodes)
+        graph = self.channel_graph
+        n = len(graph.nodes)
         dist = [math.inf] * n
         prev = [-1] * n
         via = [-1] * n
@@ -252,7 +250,7 @@ class GlobalRouter:
         for s in sources:
             dist[s] = 0.0
         heapq.heapify(heap)
-        adjacency, cost = index.adjacency, self._cost
+        adjacency, cost = graph.adjacency, self._cost
         heappop, heappush = heapq.heappop, heapq.heappush
         while heap:
             d, u = heappop(heap)

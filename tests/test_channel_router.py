@@ -155,8 +155,7 @@ class TestRipUpAndReroute:
                                     ring_width=2.0)
         router = GlobalRouter(graph, mode=RouterMode.WEIGHTED)
         result = router.route(nets, placements, rip_up_rounds=2)
-        graph_total = sum(d["usage"]
-                          for _u, _v, d in graph.graph.edges(data=True))
+        graph_total = sum(graph.usage)
         result_total = sum(result.edge_usage.values())
         assert graph_total == pytest.approx(result_total)
 

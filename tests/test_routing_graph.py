@@ -70,7 +70,7 @@ class TestChannelGraph:
         assert cg.region.x == -2.0
         assert cg.region.x2 == 12.0
         # the chip is fully blocked; the ring is the only free space
-        assert cg.graph.number_of_nodes() > 0
+        assert cg.nodes
         assert cg.node_at(-1.0, 5.0) is not None
 
     def test_edge_capacity_proportional_to_boundary(self):
@@ -81,18 +81,19 @@ class TestChannelGraph:
         # single free cell -> no edges; add a module to split the region
         placements = [_placement("a", 4, 0, 2, 5)]
         cg = build_channel_graph(placements, chip, tech, ring_width=0.0)
-        for _u, _v, data in cg.graph.edges(data=True):
-            assert data["capacity"] > 0
-            assert data["length"] > 0
-            assert data["orientation"] in ("h", "v")
+        assert cg.ends
+        for e in range(len(cg.ends)):
+            assert cg.capacity[e] > 0
+            assert cg.length[e] > 0
+            assert cg.orientation[e] in ("h", "v")
 
     def test_edges_connect_free_cells_only(self):
         placements = [_placement("a", 2, 2, 4, 4)]
         chip = Rect(0, 0, 10, 10)
         cg = build_channel_graph(placements, chip,
                                  Technology.around_the_cell(), ring_width=0.0)
-        for u, v in cg.graph.edges():
-            assert u in cg.graph.nodes and v in cg.graph.nodes
+        for u, v in cg.ends:
+            assert u in cg.ids and v in cg.ids
 
     def test_nearest_node_prefers_main_component(self):
         # A module ring enclosing a free pocket at the center
@@ -128,9 +129,7 @@ class TestChannelGraph:
         chip = Rect(0, 0, 10, 10)
         cg = build_channel_graph(placements, chip,
                                  Technology.around_the_cell(), ring_width=0.0)
-        for _u, _v, d in cg.graph.edges(data=True):
-            d["usage"] = 5.0
+        cg.usage = [5.0] * len(cg.ends)
         cg.reset_usage()
         assert cg.total_overflow() == 0.0
-        assert all(d["usage"] == 0.0
-                   for _u, _v, d in cg.graph.edges(data=True))
+        assert cg.usage == [0.0] * len(cg.ends)

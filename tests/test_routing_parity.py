@@ -1,20 +1,25 @@
 """Parity of the list-based routing layer with the networkx references.
 
-The router searches an integer-indexed view of the channel graph,
-``build_channel_graph`` tests each blocker only against the cells near it,
-and the channel adjustment derives every used edge's boundary crossing once
-per call.  Each must reproduce, exactly, the implementation it replaced; those
-implementations live on here as test-only references:
+The channel graph is a set of lists over integer cell and edge ids,
+``build_channel_graph`` and ``extract_channels`` test each blocker only
+against the cells near it, and the channel adjustment derives every used
+edge's boundary crossing once per call.  Each must reproduce, exactly, the
+implementation it replaced; those implementations live on here as test-only
+references, over networkx graphs that :func:`reference_graph` builds
+independently of the code under test:
 
-* :class:`ReferenceRouter` — Dijkstra over the networkx graph, reading each
-  edge's cost from its attribute dict;
-* :func:`reference_graph` — graph construction that tests every cell
-  against every blocker;
+* :func:`reference_graph` — the channel graph as an ``nx.Graph``, every
+  cell tested against every blocker;
+* :class:`ReferenceRouter` — Dijkstra over that graph, reading each edge's
+  cost from its attribute dict;
 * :func:`reference_corridor_demand` — the per-pair scan over every used edge
-  (and :func:`reference_channel_utilization`, the same scan per channel).
+  (and :func:`reference_channel_utilization`, the same scan per channel);
+* :func:`reference_channels` — channel extraction, every cell tested
+  against every blocker.
 
-Equality is exact: routes, lengths, usage, overflow and demands are compared
-with ``==``, so a changed tie-break or a reordered float sum shows up.
+Equality is exact: graphs, routes, lengths, usage, overflow, demands and
+channels are compared with ``==``, so a changed tie-break or a reordered
+float sum shows up.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from repro.netlist.module import Module
 from repro.netlist.net import Net
 from repro.routing.adjust import _corridor_demand, adjust_floorplan, \
     routed_crossings
-from repro.routing.channels import channel_utilization, extract_channels
+from repro.routing.channels import Channel, channel_utilization, \
+    extract_channels
 from repro.routing.graph import ChannelGraph, Node, _cuts, _dist, \
     _subdivide, build_channel_graph
 from repro.routing.pins import generalized_pins
@@ -100,19 +106,80 @@ def reference_graph(placements: Sequence[Placement], chip: Rect,
     return graph
 
 
-class ReferenceRouter:
-    """The networkx Dijkstra router, costs read from edge attribute dicts."""
+def reference_channels(placements: Sequence[Placement], chip: Rect,
+                       technology: Technology,
+                       min_extent: float = GEOM_EPS) -> list[Channel]:
+    """Channel extraction, every cell tested against every blocker."""
+    xs = _cuts([chip.x, chip.x2]
+               + [c for p in placements for c in (p.rect.x, p.rect.x2)],
+               chip.x, chip.x2)
+    ys = _cuts([chip.y, chip.y2]
+               + [c for p in placements for c in (p.rect.y, p.rect.y2)],
+               chip.y, chip.y2)
+    blockers = [p.rect for p in placements]
+    n_cols, n_rows = len(xs) - 1, len(ys) - 1
+    free = [[True] * n_rows for _ in range(n_cols)]
+    for i in range(n_cols):
+        for j in range(n_rows):
+            cell = Rect(xs[i], ys[j], xs[i + 1] - xs[i], ys[j + 1] - ys[j])
+            if any(b.overlaps(cell) for b in blockers):
+                free[i][j] = False
 
-    def __init__(self, channel_graph: ChannelGraph, mode: RouterMode,
-                 congestion_penalty: float = 4.0) -> None:
+    channels: list[Channel] = []
+    v_count = 0
+    for i in range(n_cols):
+        j = 0
+        while j < n_rows:
+            if free[i][j]:
+                j0 = j
+                while j < n_rows and free[i][j]:
+                    j += 1
+                rect = Rect(xs[i], ys[j0], xs[i + 1] - xs[i], ys[j] - ys[j0])
+                if rect.w > min_extent:
+                    channels.append(Channel(
+                        name=f"v{v_count}", rect=rect, orientation="v",
+                        capacity=rect.w / technology.pitch_v))
+                    v_count += 1
+            else:
+                j += 1
+    h_count = 0
+    for j in range(n_rows):
+        i = 0
+        while i < n_cols:
+            if free[i][j]:
+                i0 = i
+                while i < n_cols and free[i][j]:
+                    i += 1
+                rect = Rect(xs[i0], ys[j], xs[i] - xs[i0], ys[j + 1] - ys[j])
+                if rect.h > min_extent:
+                    channels.append(Channel(
+                        name=f"h{h_count}", rect=rect, orientation="h",
+                        capacity=rect.h / technology.pitch_h))
+                    h_count += 1
+            else:
+                i += 1
+    return channels
+
+
+class ReferenceRouter:
+    """The networkx Dijkstra router, costs read from edge attribute dicts.
+
+    It routes over ``graph`` (a :func:`reference_graph`); only pin snapping
+    goes through ``channel_graph.pin_node``.
+    """
+
+    def __init__(self, channel_graph: ChannelGraph, graph: nx.Graph,
+                 mode: RouterMode, congestion_penalty: float = 4.0) -> None:
         self.channel_graph = channel_graph
+        self.graph = graph
         self.mode = RouterMode(mode)
         self.congestion_penalty = congestion_penalty
 
     def route(self, nets: Sequence[Net], placements: Mapping[str, Placement],
               rip_up_rounds: int = 0) -> RoutingResult:
-        graph = self.channel_graph.graph
-        self.channel_graph.reset_usage()
+        graph = self.graph
+        for _u, _v, data in graph.edges(data=True):
+            data["usage"] = 0.0
         pin_nodes: dict[str, list[Node]] = {}
         for name, placement in placements.items():
             nodes = {self.channel_graph.pin_node(pin)
@@ -158,7 +225,9 @@ class ReferenceRouter:
             for u, v in route.edges:
                 key = canonical_edge(u, v)
                 result.edge_usage[key] = result.edge_usage.get(key, 0.0) + 1.0
-        result.total_overflow = self.channel_graph.total_overflow()
+        result.total_overflow = sum(
+            max(0.0, d["usage"] - d["capacity"])
+            for _u, _v, d in graph.edges(data=True))
         result.max_edge_utilization = max(
             (d["usage"] / d["capacity"]
              for _u, _v, d in graph.edges(data=True) if d["capacity"] > 0),
@@ -166,13 +235,12 @@ class ReferenceRouter:
         return result
 
     def _commit(self, route: NetRoute, delta: float) -> None:
-        graph = self.channel_graph.graph
         for u, v in route.edges:
-            graph.edges[u, v]["usage"] += delta
+            self.graph.edges[u, v]["usage"] += delta
 
     def _overflowing_nets(self, routed: Mapping[str, NetRoute],
                           nets_by_name: Mapping[str, Net]) -> list[Net]:
-        graph = self.channel_graph.graph
+        graph = self.graph
         hot = {(u, v) if u <= v else (v, u)
                for u, v, d in graph.edges(data=True)
                if d["usage"] > d["capacity"] + 1e-9}
@@ -217,7 +285,7 @@ class ReferenceRouter:
             tree_nodes.update(path)
             tree_nodes.update(terminals[connected])
         unique_edges = tuple(dict.fromkeys(edges))
-        unique_length = sum(self.channel_graph.graph.edges[u, v]["length"]
+        unique_length = sum(self.graph.edges[u, v]["length"]
                             for u, v in unique_edges)
         return NetRoute(net=net.name, edges=unique_edges,
                         length=unique_length, n_terminals=len(terminals))
@@ -227,7 +295,7 @@ class ReferenceRouter:
         overlap = sources & targets
         if overlap:
             return [min(overlap)]
-        graph = self.channel_graph.graph
+        graph = self.graph
         dist: dict[Node, float] = {}
         prev: dict[Node, Node | None] = {}
         heap: list[tuple[float, Node]] = []
@@ -255,12 +323,11 @@ class ReferenceRouter:
         return None
 
 
-def _reference_scan(channel_graph: ChannelGraph, routing: RoutingResult,
+def _reference_scan(graph: nx.Graph, routing: RoutingResult,
                     crossing: str, line_lo: float, line_hi: float,
                     lo: float, hi: float) -> float:
     """Peak per-line usage, scanning every used edge of the graph."""
     per_line: dict[float, float] = {}
-    graph = channel_graph.graph
     for (u, v), usage in routing.edge_usage.items():
         if usage <= 0 or not graph.has_edge(u, v):
             continue
@@ -283,8 +350,7 @@ def _reference_scan(channel_graph: ChannelGraph, routing: RoutingResult,
 
 
 def reference_corridor_demand(first: Placement, second: Placement, axis: str,
-                              channel_graph: ChannelGraph,
-                              routing: RoutingResult,
+                              graph: nx.Graph, routing: RoutingResult,
                               occluders: list[Rect] | None) -> float:
     """The per-pair corridor scan of the adjustment step."""
     a, b = first.rect, second.rect
@@ -306,22 +372,19 @@ def reference_corridor_demand(first: Placement, second: Placement, axis: str,
                 continue
             if other.overlaps(corridor):
                 return 0.0
-    return _reference_scan(channel_graph, routing, crossing, span_lo, span_hi,
-                           lo, hi)
+    return _reference_scan(graph, routing, crossing, span_lo, span_hi, lo, hi)
 
 
-def reference_channel_utilization(channels, channel_graph: ChannelGraph,
+def reference_channel_utilization(channels, graph: nx.Graph,
                                   routing: RoutingResult) -> dict[str, float]:
     """The per-channel scan of channel utilization."""
     result: dict[str, float] = {}
     for channel in channels:
         r = channel.rect
         if channel.orientation == "v":
-            demand = _reference_scan(channel_graph, routing, "h",
-                                     r.y, r.y2, r.x, r.x2)
+            demand = _reference_scan(graph, routing, "h", r.y, r.y2, r.x, r.x2)
         else:
-            demand = _reference_scan(channel_graph, routing, "v",
-                                     r.x, r.x2, r.y, r.y2)
+            demand = _reference_scan(graph, routing, "v", r.x, r.x2, r.y, r.y2)
         result[channel.name] = demand / channel.capacity \
             if channel.capacity > 0 else 0.0
     return result
@@ -391,15 +454,30 @@ TECHNOLOGIES = {"around": Technology.around_the_cell(),
                 "over": Technology.over_the_cell()}
 
 
+def _ring(technology: Technology) -> float | None:
+    return None if technology.needs_channel_area else 0.0
+
+
 def _graph(placements, chip, technology: Technology) -> ChannelGraph:
-    ring = None if technology.needs_channel_area else 0.0
     return build_channel_graph(list(placements.values()), chip, technology,
-                               ring_width=ring)
+                               ring_width=_ring(technology))
+
+
+def _reference(placements, chip, technology: Technology) -> nx.Graph:
+    return reference_graph(list(placements.values()), chip, technology,
+                           ring_width=_ring(technology))
 
 
 def _usage(channel_graph: ChannelGraph) -> list:
-    return [(u, v, d["usage"]) for u, v, d in
-            channel_graph.graph.edges(data=True)]
+    return list(zip(channel_graph.ends, channel_graph.usage))
+
+
+def _reference_usage(graph: nx.Graph) -> list:
+    return [((u, v), d["usage"]) for u, v, d in graph.edges(data=True)]
+
+
+def _reference_main_component(graph: nx.Graph) -> frozenset[Node]:
+    return frozenset(max(nx.connected_components(graph), key=len))
 
 
 # -- tests ---------------------------------------------------------------------------
@@ -413,37 +491,51 @@ class TestGraphParity:
                                              tech):
         placements, chip = _instance(seed, n_modules, lattice)
         technology = TECHNOLOGIES[tech]
-        ring = None if technology.needs_channel_area else 0.0
-        built = _graph(placements, chip, technology).graph
-        reference = reference_graph(list(placements.values()), chip,
-                                    technology, ring_width=ring)
-        assert list(built.nodes(data=True)) == \
-            list(reference.nodes(data=True))
-        assert list(built.edges(data=True)) == \
+        built = _graph(placements, chip, technology)
+        reference = _reference(placements, chip, technology)
+        assert built.nodes == list(reference.nodes)
+        assert built.ids == {node: k for k, node in enumerate(built.nodes)}
+        assert built.rects == [d["rect"] for _n, d in
+                               reference.nodes(data=True)]
+        assert [(u, v, {"length": built.length[e],
+                        "capacity": built.capacity[e],
+                        "usage": built.usage[e],
+                        "orientation": built.orientation[e]})
+                for e, (u, v) in enumerate(built.ends)] == \
             list(reference.edges(data=True))
-        for node in built:
-            assert list(built[node]) == list(reference[node])
+        for k, node in enumerate(built.nodes):
+            assert [built.nodes[v] for v, _e in built.adjacency[k]] == \
+                list(reference[node])
+            for v, e in built.adjacency[k]:
+                assert set(built.ends[e]) == {node, built.nodes[v]}
+        assert built.main_component() == _reference_main_component(reference)
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=1, max_value=7), st.booleans())
-    @settings(max_examples=15, deadline=None)
-    def test_index_mirrors_networkx(self, seed, n_modules, lattice):
+    @settings(max_examples=40, deadline=None)
+    def test_main_component_matches_networkx(self, seed, n_modules, lattice):
+        """Without the routing ring, modules on the chip edge can cut the
+        free space apart."""
         placements, chip = _instance(seed, n_modules, lattice)
-        channel_graph = _graph(placements, chip,
-                               Technology.around_the_cell())
-        graph, index = channel_graph.graph, channel_graph.index
-        assert index.nodes == sorted(graph.nodes) == list(graph.nodes)
-        assert all(index.ids[node] == k for k, node in enumerate(index.nodes))
-        assert index.ends == list(graph.edges())
-        for k, node in enumerate(index.nodes):
-            assert [index.nodes[v] for v, _e in index.adjacency[k]] == \
-                list(graph[node])
-            for v, e in index.adjacency[k]:
-                assert set(index.ends[e]) == {node, index.nodes[v]}
-        for e, (u, v) in enumerate(index.ends):
-            assert index.data[e] is graph.edges[u, v]
-            assert index.length[e] == graph.edges[u, v]["length"]
-            assert index.capacity[e] == graph.edges[u, v]["capacity"]
+        technology = Technology.around_the_cell()
+        built = build_channel_graph(list(placements.values()), chip,
+                                    technology, ring_width=0.0)
+        reference = reference_graph(list(placements.values()), chip,
+                                    technology, ring_width=0.0)
+        assert built.main_component() == _reference_main_component(reference)
+
+    def test_main_component_tie_keeps_first(self):
+        """A full-height wall splits the chip into two equal halves: the
+        main component is the one holding the lowest cell id."""
+        wall = Placement(Module.rigid("wall", 2, 10), Rect(4, 0, 2, 10))
+        chip = Rect(0, 0, 10, 10)
+        technology = Technology.around_the_cell()
+        built = build_channel_graph([wall], chip, technology, ring_width=0.0)
+        reference = reference_graph([wall], chip, technology, ring_width=0.0)
+        left = frozenset(n for n in built.nodes if built.cell_rect(n).x < 4)
+        assert len(left) * 2 == len(built.nodes)
+        assert built.main_component() == left == \
+            _reference_main_component(reference)
 
 
 @pytest.mark.parametrize("rounds", [0, 2])
@@ -460,10 +552,10 @@ class TestRouterParity:
         technology = TECHNOLOGIES[tech]
         nets = _nets(seed, list(placements), n_nets)
         graph = _graph(placements, chip, technology)
-        reference_graph_ = _graph(placements, chip, technology)
+        reference = _reference(placements, chip, technology)
         result = GlobalRouter(graph, mode=mode).route(
             nets, placements, rip_up_rounds=rounds)
-        expected = ReferenceRouter(reference_graph_, mode).route(
+        expected = ReferenceRouter(graph, reference, mode).route(
             nets, placements, rip_up_rounds=rounds)
         assert result.routes == expected.routes
         assert result.total_wirelength == expected.total_wirelength
@@ -472,8 +564,8 @@ class TestRouterParity:
         assert result.total_overflow == expected.total_overflow
         assert result.max_edge_utilization == expected.max_edge_utilization
         assert result.failed_nets == expected.failed_nets
-        assert _usage(graph) == _usage(reference_graph_)
-        assert list(graph.graph.nodes) == list(reference_graph_.graph.nodes)
+        assert _usage(graph) == _reference_usage(reference)
+        assert graph.nodes == list(reference.nodes)
 
     def test_bottleneck_with_identical_nets(self, mode, rounds):
         """Thirty a-b nets through one channel: every net ties with the
@@ -485,15 +577,17 @@ class TestRouterParity:
         chip = Rect(0, 0, 10, 8)
         tech = Technology.around_the_cell(pitch_h=1.0, pitch_v=1.0)
         nets = [Net(f"n{i}", ("a", "b")) for i in range(30)]
-        graphs = [build_channel_graph(list(placements.values()), chip, tech,
-                                      ring_width=2.0) for _ in range(2)]
-        result = GlobalRouter(graphs[0], mode=mode).route(
+        graph = build_channel_graph(list(placements.values()), chip, tech,
+                                    ring_width=2.0)
+        reference = reference_graph(list(placements.values()), chip, tech,
+                                    ring_width=2.0)
+        result = GlobalRouter(graph, mode=mode).route(
             nets, placements, rip_up_rounds=rounds)
-        expected = ReferenceRouter(graphs[1], mode).route(
+        expected = ReferenceRouter(graph, reference, mode).route(
             nets, placements, rip_up_rounds=rounds)
         assert result.routes == expected.routes
         assert result.total_overflow == expected.total_overflow
-        assert _usage(graphs[0]) == _usage(graphs[1])
+        assert _usage(graph) == _reference_usage(reference)
 
 
 class TestDemandParity:
@@ -506,6 +600,7 @@ class TestDemandParity:
         placements, chip = _instance(seed, n_modules, lattice)
         technology = Technology.around_the_cell()
         graph = _graph(placements, chip, technology)
+        reference = _reference(placements, chip, technology)
         routing = GlobalRouter(graph).route(
             _nets(seed, list(placements), n_nets), placements)
         crossings = routed_crossings(graph, routing)
@@ -522,16 +617,18 @@ class TestDemandParity:
                             first, second, axis, crossings,
                             occluders=occluders) == \
                             reference_corridor_demand(first, second, axis,
-                                                      graph, routing,
+                                                      reference, routing,
                                                       occluders)
 
         adjusted = adjust_floorplan(placements, graph, routing, technology)
         assert adjusted.channel_demands == {
             (f, s, axis): reference_corridor_demand(
-                placements[f], placements[s], axis, graph, routing, rects)
+                placements[f], placements[s], axis, reference, routing, rects)
             for f, s, axis in adjusted.channel_demands}
 
         channels = extract_channels(list(placements.values()), chip,
                                     technology)
+        assert channels == reference_channels(list(placements.values()), chip,
+                                              technology)
         assert channel_utilization(channels, graph, routing) == \
-            reference_channel_utilization(channels, graph, routing)
+            reference_channel_utilization(channels, reference, routing)

@@ -102,8 +102,7 @@ class TestRoutingProperties:
         graph = build_channel_graph(list(placements.values()), chip, tech)
         result = GlobalRouter(graph).route(nets, placements)
         edge_count = sum(len(r.edges) for r in result.routes)
-        graph_usage = sum(d["usage"]
-                          for _u, _v, d in graph.graph.edges(data=True))
+        graph_usage = sum(graph.usage)
         assert graph_usage == edge_count
         assert sum(result.edge_usage.values()) == edge_count
 
@@ -131,6 +130,6 @@ class TestRoutingProperties:
                     max(p.rect.y2 for p in placements.values()))
         graph = build_channel_graph(list(placements.values()), chip, tech)
         rects = [p.rect for p in placements.values()]
-        for node in graph.graph.nodes:
+        for node in graph.nodes:
             cell = graph.cell_rect(node)
             assert not any(r.overlaps(cell) for r in rects)

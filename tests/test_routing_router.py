@@ -49,7 +49,7 @@ class TestBasicRouting:
         placements, graph = _two_module_setup()
         result = GlobalRouter(graph).route([Net("n", ("a", "b"))], placements)
         for u, v in result.routes[0].edges:
-            assert graph.graph.has_edge(u, v)
+            assert graph.edge_id(u, v) is not None
 
     def test_usage_accounting(self):
         placements, graph = _two_module_setup()
@@ -57,8 +57,7 @@ class TestBasicRouting:
         result = router.route([Net("n", ("a", "b"))], placements)
         usage_total = sum(result.edge_usage.values())
         assert usage_total == len(result.routes[0].edges)
-        graph_usage = sum(d["usage"]
-                          for _u, _v, d in graph.graph.edges(data=True))
+        graph_usage = sum(graph.usage)
         assert graph_usage == pytest.approx(usage_total)
 
     def test_multi_pin_net(self):
