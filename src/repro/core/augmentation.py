@@ -26,6 +26,7 @@ from repro.core.selection import module_ordering, next_group
 from repro.geometry.covering import covering_rectangles
 from repro.geometry.polygon import CoveringPolygon
 from repro.geometry.rect import Rect
+from repro.geometry.skyline import Skyline
 from repro.milp.solution import Solution
 from repro.milp.solvers.registry import solve, solve_inputs
 from repro.milp.telemetry import SolveContext, SolveTelemetry
@@ -198,21 +199,34 @@ def run_augmentation(netlist: Netlist, config: FloorplanConfig,
     seed_names = order[:config.seed_size]
     remaining = order[config.seed_size:]
     trace = AugmentationTrace()
-    placed: list[Placement] = list(preplaced.values())
+    placed: list[Placement] = []
+    # The skyline of every placed envelope over [0, chip_width], raised by
+    # each step's new modules instead of rebuilt from all of them.  It is
+    # created with the first envelope: an empty netlist's chip has no width.
+    skyline: Skyline | None = None
 
+    def place(new: list[Placement]) -> None:
+        nonlocal skyline
+        for p in new:
+            if skyline is None:
+                skyline = Skyline(0.0, chip_width)
+            skyline.add_rect(p.envelope)
+        placed.extend(new)
+
+    place(list(preplaced.values()))
     if seed_names:
-        placed += _solve_step(netlist, config, chip_width, seed_names,
-                              placed, trace, step_index=0, on_step=on_step,
-                              height_cap=height_cap)
+        place(_solve_step(netlist, config, chip_width, seed_names, placed,
+                          skyline, trace, step_index=0, on_step=on_step,
+                          height_cap=height_cap))
 
     step = 1
     while remaining:
         group = next_group(netlist, [p.name for p in placed], remaining,
                            config.group_size)
         remaining = [n for n in remaining if n not in set(group)]
-        placed += _solve_step(netlist, config, chip_width, group, placed,
-                              trace, step_index=step, on_step=on_step,
-                              height_cap=height_cap)
+        place(_solve_step(netlist, config, chip_width, group, placed,
+                          skyline, trace, step_index=step, on_step=on_step,
+                          height_cap=height_cap))
         step += 1
 
     chip_height = max((p.envelope.y2 for p in placed), default=0.0)
@@ -259,12 +273,18 @@ def resolve_outline(netlist: Netlist,
 
 def _solve_step(netlist: Netlist, config: FloorplanConfig, chip_width: float,
                 group: Sequence[str], placed: list[Placement],
-                trace: AugmentationTrace, step_index: int,
+                skyline: Skyline | None, trace: AugmentationTrace,
+                step_index: int,
                 on_step: Callable[[AugmentationStep], None] | None = None,
                 height_cap: float | None = None) -> list[Placement]:
-    """Formulate, solve, and decode one subproblem; append its trace record."""
+    """Formulate, solve, and decode one subproblem; append its trace record.
+
+    ``skyline`` is the skyline of ``placed``'s envelopes over
+    ``[0, chip_width]`` (None while nothing is placed).
+    """
     window = [netlist.module(name) for name in group]
-    obstacles, polygon = _cover_partial_floorplan(placed, chip_width, config)
+    obstacles, polygon = _cover_partial_floorplan(placed, chip_width, config,
+                                                  skyline)
     base_height = max((p.envelope.y2 for p in placed), default=0.0)
 
     pair_weights: dict[tuple[str, str], float] = {}
@@ -431,17 +451,26 @@ def _length_bounds(netlist: Netlist, group: Sequence[str],
 
 
 def _cover_partial_floorplan(placed: list[Placement], chip_width: float,
-                             config: FloorplanConfig
+                             config: FloorplanConfig,
+                             skyline: Skyline | None = None
                              ) -> tuple[list[Rect], CoveringPolygon | None]:
     """Covering rectangles of the placed set (envelope rects, so reserved
-    routing margins stay reserved)."""
+    routing margins stay reserved).
+
+    ``skyline`` is the augmentation loop's running skyline of ``placed``;
+    without one (an ECO window's frozen set) it is built from ``placed``.
+    """
     if not placed:
         return [], None
     env_rects = [p.envelope for p in placed]
-    polygon = CoveringPolygon.from_rects(env_rects, x_min=0.0, x_max=chip_width)
+    if skyline is None:
+        polygon = CoveringPolygon.from_rects(env_rects, x_min=0.0,
+                                             x_max=chip_width)
+    else:
+        polygon = CoveringPolygon(skyline, n_modules=len(placed))
     if not config.use_covering_rectangles:
-        return list(env_rects), polygon
-    obstacles = covering_rectangles(env_rects, x_min=0.0, x_max=chip_width,
+        return env_rects, polygon
+    obstacles = covering_rectangles(polygon.skyline,
                                     style=config.covering_style,
                                     merge_overlapping=config.merge_covering)
     return obstacles, polygon

@@ -38,16 +38,17 @@ def connectivity_ordering(netlist: Netlist) -> list[str]:
     names = list(netlist.module_names)
     if not names:
         return []
-    totals = {n: sum(netlist.common_nets(n, other)
-                     for other in names if other != n)
-              for n in names}
+    totals = {n: sum(netlist.neighbours(n).values()) for n in names}
     start = max(names, key=lambda n: (totals[n], n))
     ordered = [start]
     remaining = set(names) - {start}
+    # score[n]: n's connectivity to the ordered prefix, kept current by
+    # adding the common-net counts of the module appended last.
+    score = dict.fromkeys(names, 0)
     while remaining:
-        best = max(remaining,
-                   key=lambda n: (netlist.connectivity_to_set(n, ordered),
-                                  totals[n], n))
+        for other, c in netlist.neighbours(ordered[-1]).items():
+            score[other] += c
+        best = max(remaining, key=lambda n: (score[n], totals[n], n))
         ordered.append(best)
         remaining.remove(best)
     return ordered

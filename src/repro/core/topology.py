@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.core.config import Linearization
 from repro.core.flexible import linearize
 from repro.core.placement import Placement
@@ -67,24 +69,23 @@ def derive_relations(placements: Sequence[Placement],
         gap_fn: optional callback giving the minimum separation for a pair on
             an axis (used by channel-width adjustment).
     """
+    envelopes = [p.envelope for p in placements]
+    x, x2, y, y2 = (np.array([getattr(e, side) for e in envelopes],
+                             dtype=np.float64)
+                    for side in ("x", "x2", "y", "y2"))
+    i, j = np.triu_indices(len(placements), k=1)
+    # Row k is direction k's slack: i left of j, j left of i, i below j,
+    # j below i.  argmax keeps the first largest slack, as max() did.
+    slack = np.stack([x[j] - x2[i], x[i] - x2[j], y[j] - y2[i], y[i] - y2[j]])
     relations: list[Relation] = []
-    for i in range(len(placements)):
-        for j in range(i + 1, len(placements)):
-            pi, pj = placements[i], placements[j]
-            a, b = pi.envelope, pj.envelope
-            candidates = [
-                (b.x - a.x2, Relation(pi.name, pj.name, "x")),
-                (a.x - b.x2, Relation(pj.name, pi.name, "x")),
-                (b.y - a.y2, Relation(pi.name, pj.name, "y")),
-                (a.y - b.y2, Relation(pj.name, pi.name, "y")),
-            ]
-            _slack, rel = max(candidates, key=lambda c: c[0])
-            if gap_fn is not None:
-                first = pi if rel.first == pi.name else pj
-                second = pj if first is pi else pi
-                rel = Relation(rel.first, rel.second, rel.axis,
-                               gap=max(0.0, gap_fn(first, second, rel.axis)))
-            relations.append(rel)
+    for a, b, k in zip(i.tolist(), j.tolist(),
+                       np.argmax(slack, axis=0).tolist()):
+        first, second = (placements[a], placements[b]) if k % 2 == 0 \
+            else (placements[b], placements[a])
+        axis = "x" if k < 2 else "y"
+        gap = 0.0 if gap_fn is None \
+            else max(0.0, gap_fn(first, second, axis))
+        relations.append(Relation(first.name, second.name, axis, gap))
     return relations
 
 

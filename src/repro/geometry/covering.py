@@ -115,17 +115,21 @@ def merge_covering_rectangles(rects: Iterable[Rect], eps: float = GEOM_EPS) -> l
     return kept
 
 
-def covering_rectangles(placed: Iterable[Rect], x_min: float | None = None,
+def covering_rectangles(placed: Iterable[Rect] | Skyline,
+                        x_min: float | None = None,
                         x_max: float | None = None,
                         style: DecompositionStyle = "horizontal",
                         merge_overlapping: bool = True) -> list[Rect]:
     """Covering rectangles for a placed module set (section 3.1 entry point).
 
     Args:
-        placed: the fixed modules of the partial floorplan.
+        placed: the fixed modules of the partial floorplan, or their
+            skyline (the augmentation loop keeps one across steps, so each
+            step adds only its new modules).
         x_min, x_max: horizontal span of the covering polygon; defaults to the
-            modules' extent.  The augmentation loop passes the chip span so
-            that side notches are represented faithfully.
+            modules' extent.  Pass the chip span so that side notches are
+            represented faithfully.  A skyline argument carries its own span
+            and ignores these.
         style: ``"horizontal"`` for the paper's edge-cut decomposition,
             ``"vertical"`` for the per-run variant.
         merge_overlapping: apply :func:`merge_covering_rectangles` afterwards.
@@ -134,10 +138,13 @@ def covering_rectangles(placed: Iterable[Rect], x_min: float | None = None,
         Fixed rectangles whose union contains every placed module and is
         contained in the region under the placed modules' skyline.
     """
-    placed_list = list(placed)
-    if not placed_list:
-        return []
-    sky = Skyline.from_rects(placed_list, x_min=x_min, x_max=x_max)
+    if isinstance(placed, Skyline):
+        sky = placed
+    else:
+        placed_list = list(placed)
+        if not placed_list:
+            return []
+        sky = Skyline.from_rects(placed_list, x_min=x_min, x_max=x_max)
     if style == "horizontal":
         rects = horizontal_cut_decomposition(sky)
     elif style == "vertical":

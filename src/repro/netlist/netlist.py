@@ -9,6 +9,7 @@ module-selection strategies (section 3, step 5) rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from repro.netlist.module import Module
@@ -35,6 +36,8 @@ class Netlist:
                 raise ValueError(f"net {n.name!r} references unknown modules {missing}")
             self._nets[n.name] = n
         self._common_nets: dict[tuple[str, str], int] | None = None
+        self._nets_by_module: dict[str, list[Net]] | None = None
+        self._neighbours: dict[str, dict[str, int]] | None = None
 
     # -- access -------------------------------------------------------------------
 
@@ -88,14 +91,32 @@ class Netlist:
         key = (a, b) if a <= b else (b, a)
         return self.common_net_counts().get(key, 0)
 
+    def neighbours(self, module_name: str) -> Mapping[str, int]:
+        """``c_ab`` for every module ``b`` sharing a net with ``a =
+        module_name`` (a read-only view; modules sharing none are absent)."""
+        if self._neighbours is None:
+            counts: dict[str, dict[str, int]] = {m: {} for m in self._modules}
+            for (a, b), c in self.common_net_counts().items():
+                counts[a][b] = c
+                counts[b][a] = c
+            self._neighbours = counts
+        return MappingProxyType(self._neighbours.get(module_name, {}))
+
     def connectivity_to_set(self, candidate: str, placed: Iterable[str]) -> int:
         """Total common-net count between ``candidate`` and a placed set —
         the attraction measure of the augmentation's group selection."""
-        return sum(self.common_nets(candidate, p) for p in placed)
+        counts = self.neighbours(candidate)
+        return sum(counts.get(p, 0) for p in placed)
 
     def nets_of(self, module_name: str) -> list[Net]:
-        """All nets incident to ``module_name``."""
-        return [n for n in self._nets.values() if n.connects(module_name)]
+        """All nets incident to ``module_name``, in net order."""
+        if self._nets_by_module is None:
+            index: dict[str, list[Net]] = {m: [] for m in self._modules}
+            for n in self._nets.values():
+                for m in n.modules:
+                    index[m].append(n)
+            self._nets_by_module = index
+        return list(self._nets_by_module.get(module_name, ()))
 
     def degree(self, module_name: str) -> int:
         """Number of nets incident to ``module_name``."""

@@ -8,9 +8,12 @@ import math
 import pytest
 
 from repro.check import CertificateReport, Violation, check_certificate
+from repro.core.config import FloorplanConfig
+from repro.core.formulation import SubproblemBuilder
 from repro.milp.model import Model
 from repro.milp.solution import Solution, SolveStatus
 from repro.milp.solvers.scipy_backend import solve_highs
+from repro.netlist.module import Module
 
 
 def knapsack_model() -> Model:
@@ -111,6 +114,51 @@ class TestCertifyLies:
         report = check_certificate(model, dataclasses.replace(
             sol, values=values))
         assert any(v.kind == "missing-value" for v in report.violations)
+
+
+def solved_window():
+    """A two-module formulation: its non-overlap rows are a row block."""
+    window = [Module.rigid("a", 4.0, 3.0), Module.rigid("b", 2.0, 5.0)]
+    builder = SubproblemBuilder(window, [], 8.0, FloorplanConfig())
+    return builder.model, solve_highs(builder.model)
+
+
+def stacked_on_a(model, sol):
+    """``sol`` with module b moved onto module a."""
+    values = dict(sol.values)
+    by_name = {v.name: v for v in model.variables}
+    for axis in ("x", "y"):
+        values[by_name[f"{axis}[b]"]] = values[by_name[f"{axis}[a]"]]
+    return dataclasses.replace(sol, values=values)
+
+
+class TestRowNames:
+    def test_block_row_reported_by_name(self):
+        model, sol = solved_window()
+        report = check_certificate(model, stacked_on_a(model, sol))
+        rows = [v for v in report.violations if v.kind == "constraint"]
+        assert any(v.name.startswith("no[") for v in rows)
+        names = [c.name for c in model.constraints]
+        for v in rows:
+            row = int(v.detail.split(":")[0].removeprefix("row "))
+            assert v.name == names[row]
+
+    def test_clean_certificate_reads_no_row_names(self, monkeypatch):
+        """Naming rows materializes every block row; a certified solution
+        never needs a name."""
+        model, sol = solved_window()
+        reads = []
+        real = Model.constraints
+
+        def spy(self):
+            reads.append(self)
+            return real.fget(self)
+
+        monkeypatch.setattr(Model, "constraints", property(spy))
+        assert check_certificate(model, sol).ok
+        assert reads == []
+        assert not check_certificate(model, stacked_on_a(model, sol)).ok
+        assert reads == [model]
 
 
 class TestReportSerialization:

@@ -5,7 +5,9 @@ import pytest
 from repro.core.augmentation import FloorplanError, run_augmentation
 from repro.core.config import FloorplanConfig, Objective, Ordering
 from repro.geometry.rect import any_overlap
+from repro.geometry.skyline import Skyline
 from repro.netlist.generators import random_netlist
+from repro.netlist.mcnc import ami33_like
 from repro.netlist.module import Module
 from repro.netlist.net import Net
 from repro.netlist.netlist import Netlist
@@ -104,3 +106,31 @@ class TestRunAugmentation:
         result = run_augmentation(tiny_netlist, cfg)
         assert len(result.placements) == 4
         assert any_overlap([p.rect for p in result.placements]) is None
+
+
+class TestLinearWork:
+    """Each step's host work depends on its new group, not on everything
+    placed so far."""
+
+    def test_ami33_like_counts(self, monkeypatch):
+        """One skyline raise per placed envelope (rebuilding the skyline
+        from every placed envelope twice per step took 510 on this run) and
+        no net scans (scoring candidates by scanning every net took
+        29,520 ``Net.connects`` calls)."""
+        counts = {"add_rect": 0, "connects": 0}
+        add_rect, connects = Skyline.add_rect, Net.connects
+
+        def counted_add_rect(self, rect):
+            counts["add_rect"] += 1
+            return add_rect(self, rect)
+
+        def counted_connects(self, module_name):
+            counts["connects"] += 1
+            return connects(self, module_name)
+
+        monkeypatch.setattr(Skyline, "add_rect", counted_add_rect)
+        monkeypatch.setattr(Net, "connects", counted_connects)
+        result = run_augmentation(ami33_like(),
+                                  FloorplanConfig(seed_size=3, group_size=2))
+        assert len(result.placements) == 33
+        assert counts == {"add_rect": 33, "connects": 0}

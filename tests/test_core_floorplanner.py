@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import FloorplanConfig, Linearization
 from repro.core.floorplanner import Floorplan, Floorplanner, floorplan
 from repro.core.placement import Placement
-from repro.geometry.rect import Rect
+from repro.geometry.rect import GEOM_EPS, Rect
 from repro.netlist.generators import random_netlist
 from repro.netlist.module import Module
 from repro.netlist.net import Net
@@ -75,6 +75,17 @@ class TestFloorplanner:
             if m.flexible:
                 assert plan.placement(m.name).rect.area == \
                     pytest.approx(m.area, rel=1e-6)
+
+    def test_empty_netlist_plans(self):
+        """Nothing to place: no steps, and a chip of zero height whose
+        width is the legalization floor (the resolved width is 0, so no
+        skyline over it may be built)."""
+        plan = Floorplanner(Netlist([])).run()
+        assert plan.placements == {}
+        assert plan.trace.n_steps == 0
+        assert plan.chip_width == GEOM_EPS
+        assert plan.chip_height == 0.0
+        assert plan.is_legal
 
 
 class TestValidate:
