@@ -301,7 +301,7 @@ class SubproblemBuilder:
                           p: Variable, q: Variable, *,
                           wj: _WindowModule | None = None,
                           obs: Rect | None = None) -> None:
-        """The four eq. (2) big-M disjunction rows as one coefficient block.
+        """The four eq. (2) big-M disjunction rows as one ``add_rows`` block.
 
         Covers both the pair case (``wj``: left/right/below/above between
         two window modules) and the obstacle case (``obs``: the second
@@ -313,22 +313,13 @@ class SubproblemBuilder:
         mw, mh = self._width_big_m, self._height_big_m
         wvar_i, wc_i, w0_i = self._affine1(wi.width)
         hvar_i, hc_i, h0_i = self._affine1(wi.height)
-        columns: dict[Variable, int] = {}
-
-        def col(var: Variable) -> int:
-            return columns.setdefault(var, len(columns))
-
-        rows: list[dict[int, float]] = []
+        rows: list[dict[Variable, float]] = []
         rhs: list[float] = []
         senses: list[str] = []
 
         def row(terms: list[tuple[Variable | None, float]], b: float,
                 sense: str = "<=") -> None:
-            entries: dict[int, float] = {}
-            for var, coef in terms:
-                if var is not None:
-                    entries[col(var)] = coef
-            rows.append(entries)
+            rows.append({var: coef for var, coef in terms if var is not None})
             rhs.append(b)
             senses.append(sense)
 
@@ -356,9 +347,8 @@ class SubproblemBuilder:
                 mh + obs.y - h0_i)
             row([(wi.y, 1.0), (p, -mh), (q, -mh)], obs.y2 - 2.0 * mh, ">=")
 
-        coeffs = [[r.get(j, 0.0) for j in range(len(columns))] for r in rows]
         self.model.add_rows(
-            list(columns), coeffs, senses, rhs,
+            rows, senses, rhs,
             [f"no[{tag}]:left", f"no[{tag}]:right",
              f"no[{tag}]:below", f"no[{tag}]:above"])
 
@@ -373,22 +363,13 @@ class SubproblemBuilder:
     def _unary_rows(self, tag: str, specs: list[tuple[
             list[tuple[Variable | None, float]], float, str]],
             names: list[str]) -> None:
-        """Emit one COO block of unary-encoding rows (same splicing path as
-        the big-M block builder)."""
-        columns: dict[Variable, int] = {}
-        rows: list[dict[int, float]] = []
-        rhs: list[float] = []
-        senses: list[str] = []
-        for terms, b, sense in specs:
-            entries: dict[int, float] = {}
-            for var, coef in terms:
-                if var is not None and coef != 0.0:
-                    entries[columns.setdefault(var, len(columns))] = coef
-            rows.append(entries)
-            rhs.append(b)
-            senses.append(sense)
-        coeffs = [[r.get(j, 0.0) for j in range(len(columns))] for r in rows]
-        self.model.add_rows(list(columns), coeffs, senses, rhs, names)
+        """Emit one block of unary-encoding rows (the same ``add_rows``
+        path as the big-M block builder)."""
+        rows = [{var: coef for var, coef in terms
+                 if var is not None and coef != 0.0}
+                for terms, _b, _sense in specs]
+        self.model.add_rows(rows, [sense for _t, _b, sense in specs],
+                            [b for _t, b, _sense in specs], names)
 
     def _unary_pair_rows(self, tag: str, wi: _WindowModule, wj: _WindowModule,
                          z: tuple[Variable, Variable, Variable, Variable]
@@ -584,27 +565,19 @@ class SubproblemBuilder:
         for name, wm in self._window.items():
             wvar, wc, w0 = self._affine1(wm.width)
             hvar, hc, h0 = self._affine1(wm.height)
-            columns: dict[Variable, int] = {wm.x: 0, wm.y: 1,
-                                            self.height_var: 2}
-
-            def col(var: Variable) -> int:
-                return columns.setdefault(var, len(columns))
-
-            chipw: dict[int, float] = {0: 1.0}
+            chipw: dict[Variable, float] = {wm.x: 1.0}
             if wvar is not None:
-                chipw[col(wvar)] = wc
+                chipw[wvar] = wc
             if self.width_var is not None:
-                chipw[col(self.width_var)] = -1.0
+                chipw[self.width_var] = -1.0
                 chipw_rhs = -w0
             else:
                 chipw_rhs = self.chip_width - w0
-            chiph: dict[int, float] = {1: 1.0, 2: -1.0}
+            chiph: dict[Variable, float] = {wm.y: 1.0, self.height_var: -1.0}
             if hvar is not None:
-                chiph[col(hvar)] = chiph.get(col(hvar), 0.0) + hc
-            coeffs = [[r.get(j, 0.0) for j in range(len(columns))]
-                      for r in (chipw, chiph)]
+                chiph[hvar] = chiph.get(hvar, 0.0) + hc
             self.model.add_rows(
-                list(columns), coeffs, "<=", [chipw_rhs, -h0],
+                [chipw, chiph], "<=", [chipw_rhs, -h0],
                 [f"chipw[{name}]", f"chiph[{name}]"])
 
     def _add_wirelength(self, pair_weights: Mapping[tuple[str, str], float],

@@ -29,7 +29,7 @@ from repro.core.config import Linearization
 from repro.core.flexible import linearize
 from repro.core.placement import Placement
 from repro.geometry.rect import Rect
-from repro.milp.expr import LinExpr
+from repro.milp.expr import Variable
 from repro.milp.model import Model
 from repro.milp.solvers.registry import solve
 
@@ -154,11 +154,13 @@ def optimize_topology(placements: Sequence[Placement],
     width_var = model.add_continuous("chip_width", lb=0.0, ub=width_cap)
     height_var = model.add_continuous("chip_height", lb=0.0)
 
-    xs: dict[str, object] = {}
-    ys: dict[str, object] = {}
-    env_widths: dict[str, LinExpr] = {}
-    env_heights: dict[str, LinExpr] = {}
-    dws: dict[str, object] = {}
+    xs: dict[str, Variable] = {}
+    ys: dict[str, Variable] = {}
+    # Each envelope's width and height as (terms, constant): the terms are
+    # {dw: coefficient} for a resized flexible module, else empty.
+    env_widths: dict[str, tuple[dict[Variable, float], float]] = {}
+    env_heights: dict[str, tuple[dict[Variable, float], float]] = {}
+    dws: dict[str, Variable] = {}
     by_name: dict[str, Placement] = {}
 
     for p in placements:
@@ -171,8 +173,8 @@ def optimize_topology(placements: Sequence[Placement],
                                             ub=p.envelope.x)
             ys[name] = model.add_continuous(f"y[{name}]", lb=p.envelope.y,
                                             ub=p.envelope.y)
-            env_widths[name] = LinExpr({}, p.envelope.w)
-            env_heights[name] = LinExpr({}, p.envelope.h)
+            env_widths[name] = ({}, p.envelope.w)
+            env_heights[name] = ({}, p.envelope.h)
             continue
         xs[name] = model.add_continuous(f"x[{name}]", lb=0.0)
         ys[name] = model.add_continuous(f"y[{name}]", lb=0.0)
@@ -182,31 +184,42 @@ def optimize_topology(placements: Sequence[Placement],
             flex = linearize(p.module, linearization)
             dw = model.add_continuous(f"dw[{name}]", lb=0.0, ub=flex.dw_max)
             dws[name] = dw
-            env_widths[name] = LinExpr({dw: -1.0}, flex.w_max + margin_w)
-            env_heights[name] = LinExpr({dw: flex.slope}, flex.h0 + margin_h)
+            env_widths[name] = ({dw: -1.0}, flex.w_max + margin_w)
+            env_heights[name] = ({dw: flex.slope}, flex.h0 + margin_h)
         else:
-            env_widths[name] = LinExpr({}, p.envelope.w)
-            env_heights[name] = LinExpr({}, p.envelope.h)
+            env_widths[name] = ({}, p.envelope.w)
+            env_heights[name] = ({}, p.envelope.h)
+
+    # One row block, relations first, then each module's chip rows.  Row
+    # ``pos + extent + gap <= other`` is built as the LinExpr algebra
+    # builds it: {pos: 1, extent terms..., other: -1}, rhs -(size + gap).
+    rows: list[dict[Variable, float]] = []
+    rhs: list[float] = []
+    names: list[str] = []
+
+    def row(pos: Variable, extent: tuple[dict[Variable, float], float],
+            gap: float, other: Variable, row_name: str) -> None:
+        terms, size = extent
+        coeffs = {pos: 1.0, **terms}
+        coeffs[other] = coeffs.get(other, 0.0) - 1.0
+        rows.append(coeffs)
+        rhs.append(-(size + gap))
+        names.append(row_name)
 
     for rel in relations:
         if rel.first not in by_name or rel.second not in by_name:
             raise ValueError(f"relation references unknown module: {rel}")
         if rel.axis == "x":
-            model.add_constraint(
-                xs[rel.first] + env_widths[rel.first] + rel.gap
-                <= xs[rel.second],
-                name=f"rel[{rel.first}<{rel.second}]:x")
+            row(xs[rel.first], env_widths[rel.first], rel.gap,
+                xs[rel.second], f"rel[{rel.first}<{rel.second}]:x")
         else:
-            model.add_constraint(
-                ys[rel.first] + env_heights[rel.first] + rel.gap
-                <= ys[rel.second],
-                name=f"rel[{rel.first}<{rel.second}]:y")
+            row(ys[rel.first], env_heights[rel.first], rel.gap,
+                ys[rel.second], f"rel[{rel.first}<{rel.second}]:y")
 
     for name in by_name:
-        model.add_constraint(xs[name] + env_widths[name] <= width_var,
-                             name=f"chipw[{name}]")
-        model.add_constraint(ys[name] + env_heights[name] <= height_var,
-                             name=f"chiph[{name}]")
+        row(xs[name], env_widths[name], 0.0, width_var, f"chipw[{name}]")
+        row(ys[name], env_heights[name], 0.0, height_var, f"chiph[{name}]")
+    model.add_rows(rows, "<=", rhs, names)
 
     model.set_objective(current_h * width_var + current_w * height_var)
     solution = solve(model, backend=backend, cache=cache)

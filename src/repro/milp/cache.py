@@ -16,6 +16,10 @@ Canonicalization (see :func:`canonical_form_text`):
 * every coefficient and bound is quantized to :data:`KEY_SIGFIGS`
   significant digits (the documented tolerance) so bitwise float noise
   below that resolution cannot split equivalent models;
+* the text is built from the form's CSR arrays: NumPy takes each row's
+  scale and sign, and one ``%``-format call writes every number
+  (``"%.12g"`` writes a float exactly as ``format(v, ".12g")`` does; -0.0
+  is written ``"0"``).  Keying only reads the form;
 * the variable-class vector (kind, lb, ub per column) and the objective
   (unscaled — scaling the objective changes its value) complete the key;
 * a caller-supplied *context* tuple (backend, presolve flag, warm-start
@@ -61,6 +65,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
+from repro.milp.expr import VarKind
 from repro.milp.model import Model, StandardForm
 from repro.milp.solution import Solution, SolveStatus
 from repro.milp.telemetry import SolveTelemetry
@@ -100,6 +107,14 @@ def resolve_cache_dir(cache_dir: str | os.PathLike | None = None) -> str | None:
 # canonical structural hashing
 # ---------------------------------------------------------------------------
 
+#: The %-format of one quantized number; it writes a float exactly as
+#: ``format(value, ".12g")`` does, "nan" and "inf" included.
+_G = f"%.{KEY_SIGFIGS}g"
+
+#: Each variable kind's letter in the key's ``vars=`` line.
+_KIND_LETTER = {kind: kind.value[0] for kind in VarKind}
+
+
 def _q(value: float) -> str:
     """Quantize one float to :data:`KEY_SIGFIGS` significant digits."""
     if math.isnan(value):
@@ -120,42 +135,68 @@ def canonical_form_text(form: StandardForm,
     Exposed (rather than hidden inside the hash) so the collision property
     tests can assert that distinct keys correspond exactly to distinct
     canonical texts.  See the module docstring for the normalization rules.
+    The form is only read: a CSR matrix that is not in canonical format is
+    canonicalized on a copy.
     """
-    lines = [f"cachev{BLOB_VERSION}",
-             "ctx=" + "|".join(str(item) for item in context)]
-
-    lines.append("vars=" + ";".join(
-        f"{v.kind.value[0]}:{_q(lo)}:{_q(hi)}"
-        for v, lo, hi in zip(form.variables, form.lb, form.ub)))
-
-    lines.append("obj=" + ",".join(_q(c) for c in form.c)
-                 + f"|{_q(form.c0)}|{int(form.maximize)}")
-
     a = form.a_matrix.tocsr()
-    a.sum_duplicates()
-    rows: list[str] = []
-    for i in range(a.shape[0]):
-        start, end = a.indptr[i], a.indptr[i + 1]
-        pairs = sorted((int(c), float(v))
-                       for c, v in zip(a.indices[start:end],
-                                       a.data[start:end]) if v != 0.0)
-        lo, hi = float(form.row_lb[i]), float(form.row_ub[i])
-        if pairs:
-            scale = max(abs(v) for _c, v in pairs)
-            # Sign-normalize: a row and its negation (bounds swapped) are
-            # the same constraint.
-            if pairs[0][1] < 0.0:
-                scale = -scale
-            pairs = [(c, v / scale) for c, v in pairs]
-            lo, hi = lo / scale, hi / scale
-            if scale < 0.0:
-                lo, hi = hi, lo
-        rows.append(",".join(f"{c}:{_q(v)}" for c, v in pairs)
-                    + f"|{_q(lo)}|{_q(hi)}")
-    rows.sort()
-    lines.append("rows:")
-    lines.extend(rows)
-    return "\n".join(lines)
+    if not a.has_canonical_format:
+        # tocsr() returns a CSR input itself: sum a copy, never the
+        # caller's matrix.
+        a = a.copy()
+        a.sum_duplicates()
+    n_rows = a.shape[0]
+    keep = a.data != 0.0
+    data = a.data[keep]
+    cols = a.indices[keep]
+    counts = np.bincount(
+        np.repeat(np.arange(n_rows), np.diff(a.indptr))[keep],
+        minlength=n_rows)
+    starts = np.cumsum(counts) - counts
+    # Each row is divided by its largest magnitude, negated when its first
+    # (lowest-column) nonzero is negative: a row and its negation (bounds
+    # swapped) are the same constraint.  Empty rows keep scale 1.
+    scale = np.ones(n_rows)
+    full = counts > 0
+    if data.size:
+        peak = np.maximum.reduceat(np.abs(data), starts[full])
+        scale[full] = np.where(data[starts[full]] < 0.0, -peak, peak)
+    with np.errstate(over="ignore"):  # a huge bound over a tiny scale: inf
+        lo = np.asarray(form.row_lb, dtype=np.float64) / scale
+        hi = np.asarray(form.row_ub, dtype=np.float64) / scale
+    flip = scale < 0.0
+    lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+
+    # One flat argument list per row, "c:v,...|lo|hi", so that a single
+    # %-format call writes every number (+ 0.0 turns -0.0 into 0.0, which
+    # _q writes as "0").
+    width = 2 * counts + 2
+    offset = np.cumsum(width) - width
+    row_args = np.empty(int(width.sum()))
+    slot = np.repeat(offset - 2 * starts, counts) + 2 * np.arange(data.size)
+    row_args[slot] = cols
+    row_args[slot + 1] = data / np.repeat(scale, counts) + 0.0
+    row_args[offset + 2 * counts] = lo + 0.0
+    row_args[offset + 2 * counts + 1] = hi + 0.0
+    formats = {k: ",".join([f"%d:{_G}"] * k) + f"|{_G}|{_G}"
+               for k in set(counts.tolist())}
+
+    n_vars = len(form.variables)
+    var_args: list = [None] * (3 * n_vars)
+    var_args[0::3] = [_KIND_LETTER[v.kind] for v in form.variables]
+    var_args[1::3] = (np.asarray(form.lb, dtype=np.float64) + 0.0).tolist()
+    var_args[2::3] = (np.asarray(form.ub, dtype=np.float64) + 0.0).tolist()
+    template = "\n".join([
+        "vars=" + ";".join([f"%s:{_G}:{_G}"] * n_vars),
+        "obj=" + ",".join([_G] * len(form.c)) + f"|{_G}|%d",
+        *map(formats.__getitem__, counts.tolist())])
+    lines = (template % (
+        *var_args, *(np.asarray(form.c, dtype=np.float64) + 0.0).tolist(),
+        float(form.c0) + 0.0, int(form.maximize),
+        *row_args.tolist())).split("\n")
+    rows = sorted(lines[2:])
+    return "\n".join([f"cachev{BLOB_VERSION}",
+                      "ctx=" + "|".join(str(item) for item in context),
+                      lines[0], lines[1], "rows:", *rows])
 
 
 def canonical_form_key(form: StandardForm, context: tuple = ()) -> str:

@@ -8,6 +8,7 @@ variable bounds, integrality markers).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -60,49 +61,6 @@ class Constraint:
         return f"Constraint({self.name or '?'}: {self.expr!r} {self.sense.value} 0)"
 
 
-@dataclass
-class _RowBlock:
-    """A block of same-sense rows over a shared column set, stored as
-    pre-assembled COO triplets.
-
-    The block-building path skips the per-row :class:`LinExpr` dict algebra
-    entirely: callers hand over a dense coefficient matrix and the block
-    keeps only the nonzero triplets plus the row-bound arrays the standard
-    form needs.  Equivalent :class:`Constraint` objects are materialized
-    lazily, only for consumers that want them (serialization, violation
-    reporting).
-    """
-
-    cols: np.ndarray      # global column indices, one per nonzero
-    rows: np.ndarray      # local row ids, one per nonzero (row-major order)
-    data: np.ndarray      # coefficients, one per nonzero
-    row_lb: np.ndarray    # (k,) lower row bounds
-    row_ub: np.ndarray    # (k,) upper row bounds
-    senses: list["Sense"]
-    names: list[str]
-    variables: list["Variable"]   # the shared column set (for materialization)
-    col_local: np.ndarray         # local column index per nonzero
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.names)
-
-    def materialize(self) -> list["Constraint"]:
-        """Equivalent per-row :class:`Constraint` objects."""
-        split = np.searchsorted(self.rows, np.arange(1, self.n_rows))
-        out: list[Constraint] = []
-        for r, (lo, hi) in enumerate(
-                zip(np.concatenate([[0], split]),
-                    np.concatenate([split, [len(self.rows)]]))):
-            sense = self.senses[r]
-            rhs = self.row_lb[r] if sense is Sense.GE else self.row_ub[r]
-            terms = {self.variables[int(j)]: float(c)
-                     for j, c in zip(self.col_local[lo:hi], self.data[lo:hi])}
-            out.append(Constraint(LinExpr(terms, -float(rhs)),
-                                  sense, self.names[r]))
-        return out
-
-
 @dataclass(frozen=True)
 class StandardForm:
     """Arrays for the backends.
@@ -129,11 +87,17 @@ class Model:
     def __init__(self, name: str = "model") -> None:
         self.name = name
         self._variables: list[Variable] = []
-        # Rows in insertion order: scalar Constraints interleaved with
-        # _RowBlocks.  Flat Constraint views and the assembled row arrays
-        # are cached and invalidated by any structural change.
-        self._items: list[Constraint | _RowBlock] = []
-        self._n_rows = 0
+        # One flat row store in insertion order: a (row, column, value)
+        # triplet per term, the row bounds, and per row either the
+        # Constraint that was added or the (name, sense) of an add_rows
+        # row.  The Constraint view and the assembled row arrays are
+        # cached and invalidated by any structural change.
+        self._term_rows: list[int] = []
+        self._term_cols: list[int] = []
+        self._term_vals: list[float] = []
+        self._row_lb: list[float] = []
+        self._row_ub: list[float] = []
+        self._row_meta: list[Constraint | tuple[str, Sense]] = []
         self._constraints_cache: tuple[Constraint, ...] | None = None
         self._rows_cache: tuple[sparse.csr_matrix, np.ndarray, np.ndarray] | None = None
         self._objective: LinExpr = LinExpr()
@@ -142,6 +106,32 @@ class Model:
     def _invalidate(self) -> None:
         self._constraints_cache = None
         self._rows_cache = None
+
+    def _foreign(self, used: Iterable[Variable]) -> Variable | None:
+        """The first variable of ``used`` this model does not own, if any."""
+        own = self._variables
+        for var in used:
+            if var.index >= len(own) or own[var.index] is not var:
+                return var
+        return None
+
+    def _store(self, rows: Sequence[Mapping[Variable, float]],
+               senses: Sequence[Sense], rhs: Iterable[float],
+               metas: Iterable[Constraint | tuple[str, Sense]]) -> None:
+        """Append rows to the row store: their terms, bounds and meta.
+        Zero coefficients stay in the store; the matrix and the
+        :class:`Constraint` view drop them."""
+        r = len(self._row_meta)
+        for terms in rows:
+            self._term_rows.extend([r] * len(terms))
+            self._term_cols.extend([var.index for var in terms])
+            self._term_vals.extend(terms.values())
+            r += 1
+        for sense, b in zip(senses, rhs):
+            self._row_lb.append(-math.inf if sense is Sense.LE else b)
+            self._row_ub.append(math.inf if sense is Sense.GE else b)
+        self._row_meta.extend(metas)
+        self._invalidate()
 
     # -- building -------------------------------------------------------------
 
@@ -178,16 +168,16 @@ class Model:
                 "add_constraint expects a Constraint; build one by comparing "
                 "expressions, e.g. model.add_constraint(x + y <= 3)"
             )
-        for var in constraint.expr.terms:
-            if var.index >= len(self._variables) or self._variables[var.index] is not var:
-                raise ValueError(
-                    f"constraint {name or constraint.name!r} uses variable "
-                    f"{var.name!r} not owned by this model"
-                )
-        constraint.name = name or constraint.name or f"c{self._n_rows}"
-        self._items.append(constraint)
-        self._n_rows += 1
-        self._invalidate()
+        foreign = self._foreign(constraint.expr.terms)
+        if foreign is not None:
+            raise ValueError(
+                f"constraint {name or constraint.name!r} uses variable "
+                f"{foreign.name!r} not owned by this model"
+            )
+        constraint.name = name or constraint.name or f"c{len(self._row_meta)}"
+        expr = constraint.expr
+        self._store([expr.terms], [constraint.sense], [-expr.constant],
+                    [constraint])
         return constraint
 
     def add_constraints(self, constraints: Iterable[Constraint],
@@ -198,64 +188,39 @@ class Model:
             added.append(self.add_constraint(con, name=f"{prefix}{i}" if prefix else ""))
         return added
 
-    def add_rows(self, columns: Sequence[Variable], coeffs,
-                 sense, rhs, names: Sequence[str]) -> None:
-        """Add a block of rows over a shared column set.
+    def add_rows(self, rows: Sequence[Mapping[Variable, float]], sense,
+                 rhs: Sequence[float], names: Sequence[str]) -> None:
+        """Add several rows without building a :class:`Constraint` each.
 
-        The vectorized alternative to repeated :meth:`add_constraint`: the
-        rows enter the model as pre-assembled coefficient triplets, so no
-        per-row :class:`~repro.milp.expr.LinExpr` dictionaries are built and
-        :meth:`to_standard_form` concatenates the block into the CSR matrix
-        without touching individual rows.  Rows read
-        ``coeffs[r] @ columns  SENSE  rhs[r]``.
+        The vectorized alternative to repeated :meth:`add_constraint`: each
+        row is a ``{variable: coefficient}`` map appended straight to the
+        model's row store, so no per-row
+        :class:`~repro.milp.expr.LinExpr` algebra runs, and the
+        :class:`Constraint` objects are built only if :attr:`constraints`
+        is read.  Row ``r`` reads ``sum(c * v for v, c in rows[r].items())
+        SENSE rhs[r]``.
 
         Args:
-            columns: the variables the block touches (no duplicates).
-            coeffs: array-like of shape ``(k, len(columns))``; zeros are
-                dropped, exactly like the scalar export path drops them.
-            sense: one :class:`Sense` (or string) for the whole block, or a
-                sequence of ``k`` per-row senses.
-            rhs: array-like of ``k`` right-hand sides.
+            rows: one coefficient map per row; zero coefficients are
+                dropped, exactly like :meth:`add_constraint` drops them.
+            sense: one :class:`Sense` (or string) for every row, or a
+                sequence of per-row senses.
+            rhs: one right-hand side per row.
             names: one name per row.
         """
-        columns = list(columns)
-        coeffs = np.asarray(coeffs, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
         if isinstance(sense, (Sense, str)):
-            senses = [Sense(sense)] * len(rhs)
+            senses = [Sense(sense)] * len(rows)
         else:
             senses = [Sense(s) for s in sense]
-        if coeffs.ndim != 2 or coeffs.shape != (len(rhs), len(columns)):
+        if not len(rows) == len(rhs) == len(names) == len(senses):
             raise ValueError(
-                f"coeffs shape {coeffs.shape} does not match "
-                f"({len(rhs)} rows, {len(columns)} columns)")
-        if len(names) != len(rhs) or len(senses) != len(rhs):
-            raise ValueError(
-                f"{len(names)} names / {len(senses)} senses for "
-                f"{len(rhs)} rows")
-        seen: set[int] = set()
-        for var in columns:
-            if var.index >= len(self._variables) \
-                    or self._variables[var.index] is not var:
-                raise ValueError(
-                    f"row block uses variable {var.name!r} not owned by "
-                    f"this model")
-            if id(var) in seen:
-                raise ValueError(f"duplicate column {var.name!r} in row block")
-            seen.add(id(var))
-        local_rows, local_cols = np.nonzero(coeffs)
-        col_index = np.array([v.index for v in columns], dtype=np.int64)
-        le = np.array([s is not Sense.GE for s in senses])
-        ge = np.array([s is not Sense.LE for s in senses])
-        row_lb = np.where(ge, rhs, -np.inf)
-        row_ub = np.where(le, rhs, np.inf)
-        self._items.append(_RowBlock(
-            cols=col_index[local_cols], rows=local_rows,
-            data=coeffs[local_rows, local_cols], row_lb=row_lb,
-            row_ub=row_ub, senses=senses, names=list(names),
-            variables=columns, col_local=local_cols))
-        self._n_rows += len(rhs)
-        self._invalidate()
+                f"{len(rows)} rows / {len(rhs)} right-hand sides / "
+                f"{len(names)} names / {len(senses)} senses")
+        foreign = self._foreign(itertools.chain.from_iterable(rows))
+        if foreign is not None:
+            raise ValueError(f"row block uses variable {foreign.name!r} not "
+                             f"owned by this model")
+        self._store(rows, senses, [float(b) for b in rhs], zip(names, senses))
 
     def set_objective(self, expr: ExprLike,
                       sense: ObjectiveSense | str = ObjectiveSense.MIN) -> None:
@@ -272,14 +237,22 @@ class Model:
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
-        """All constraints in row order (block rows materialized lazily)."""
+        """All constraints in row order (``add_rows`` rows built lazily)."""
         if self._constraints_cache is None:
+            starts = np.searchsorted(np.asarray(self._term_rows, dtype=np.int64),
+                                     np.arange(len(self._row_meta) + 1))
             flat: list[Constraint] = []
-            for item in self._items:
-                if isinstance(item, _RowBlock):
-                    flat.extend(item.materialize())
-                else:
-                    flat.append(item)
+            for r, meta in enumerate(self._row_meta):
+                if isinstance(meta, Constraint):
+                    flat.append(meta)
+                    continue
+                name, sense = meta
+                lo, hi = starts[r], starts[r + 1]
+                terms = {self._variables[j]: float(c)
+                         for j, c in zip(self._term_cols[lo:hi],
+                                         self._term_vals[lo:hi]) if c != 0.0}
+                rhs = self._row_lb[r] if sense is Sense.GE else self._row_ub[r]
+                flat.append(Constraint(LinExpr(terms, -float(rhs)), sense, name))
             self._constraints_cache = tuple(flat)
         return self._constraints_cache
 
@@ -307,7 +280,7 @@ class Model:
     @property
     def n_constraints(self) -> int:
         """Number of constraints."""
-        return self._n_rows
+        return len(self._row_meta)
 
     def is_pure_lp(self) -> bool:
         """True when the model has no integral variables (the section-2.5
@@ -338,52 +311,17 @@ class Model:
         return [constraints[i] for i in np.flatnonzero(bad)]
 
     def _assembled_rows(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """The constraint system as ``(A, row_lb, row_ub)``, cached.
-
-        Scalar constraints contribute their expression terms; row blocks
-        splice their pre-built COO triplets in directly — no per-row work.
-        """
-        if self._rows_cache is not None:
-            return self._rows_cache
-        n = len(self._variables)
-        row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
-        data_parts: list[np.ndarray] = []
-        row_lb = np.empty(self._n_rows)
-        row_ub = np.empty(self._n_rows)
-        offset = 0
-        for item in self._items:
-            if isinstance(item, _RowBlock):
-                k = item.n_rows
-                row_parts.append(item.rows + offset)
-                col_parts.append(item.cols)
-                data_parts.append(item.data)
-                row_lb[offset:offset + k] = item.row_lb
-                row_ub[offset:offset + k] = item.row_ub
-                offset += k
-                continue
-            con = item
-            nz = [(var.index, coeff) for var, coeff in con.expr.terms.items()
-                  if coeff != 0.0]
-            if nz:
-                row_parts.append(np.full(len(nz), offset, dtype=np.int64))
-                col_parts.append(np.array([j for j, _ in nz], dtype=np.int64))
-                data_parts.append(np.array([c for _, c in nz]))
-            rhs = -con.expr.constant
-            if con.sense is Sense.LE:
-                row_lb[offset], row_ub[offset] = -np.inf, rhs
-            elif con.sense is Sense.GE:
-                row_lb[offset], row_ub[offset] = rhs, np.inf
-            else:
-                row_lb[offset], row_ub[offset] = rhs, rhs
-            offset += 1
-        if row_parts:
-            coo = (np.concatenate(data_parts),
-                   (np.concatenate(row_parts), np.concatenate(col_parts)))
-            a_matrix = sparse.csr_matrix(coo, shape=(self._n_rows, n))
-        else:
-            a_matrix = sparse.csr_matrix((self._n_rows, n))
-        self._rows_cache = (a_matrix, row_lb, row_ub)
+        """The constraint system as ``(A, row_lb, row_ub)``, cached: the
+        row store's nonzero triplets become the CSR matrix in one call."""
+        if self._rows_cache is None:
+            vals = np.array(self._term_vals, dtype=np.float64)
+            keep = vals != 0.0
+            a_matrix = sparse.csr_matrix(
+                (vals[keep], (np.array(self._term_rows, dtype=np.int64)[keep],
+                              np.array(self._term_cols, dtype=np.int64)[keep])),
+                shape=(len(self._row_meta), len(self._variables)))
+            self._rows_cache = (a_matrix, np.array(self._row_lb, dtype=np.float64),
+                                np.array(self._row_ub, dtype=np.float64))
         return self._rows_cache
 
     def to_standard_form(self) -> StandardForm:

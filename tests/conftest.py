@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import FloorplanConfig
 from repro.milp.cache import CACHE_DIR_ENV, clear_caches
@@ -10,6 +11,11 @@ from repro.netlist.module import Module, PinCounts
 from repro.netlist.net import Net
 from repro.netlist.netlist import Netlist
 from repro.routing.technology import Technology
+
+# CI selects this with --hypothesis-profile=ci: a failing example is printed
+# with the blob that replays it (@reproduce_failure), since an example made
+# of objects prints only their reprs.
+settings.register_profile("ci", print_blob=True)
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.augmentation import FloorplanError, run_augmentation
 from repro.core.config import FloorplanConfig, Objective, Ordering
+from repro.core.topology import optimize_topology
 from repro.geometry.rect import any_overlap
 from repro.geometry.skyline import Skyline
+from repro.milp.expr import LinExpr
 from repro.netlist.generators import random_netlist
 from repro.netlist.mcnc import ami33_like
 from repro.netlist.module import Module
@@ -134,3 +136,21 @@ class TestLinearWork:
                                   FloorplanConfig(seed_size=3, group_size=2))
         assert len(result.placements) == 33
         assert counts == {"add_rect": 33, "connects": 0}
+
+    def test_ami33_like_topology_expressions(self, monkeypatch):
+        """The given-topology LP emits its rows as one block: building each
+        relation and chip row with the LinExpr algebra took 3,504
+        expressions on this plan, about six per module pair."""
+        placements = run_augmentation(
+            ami33_like(), FloorplanConfig(seed_size=3, group_size=2)).placements
+        built = 0
+        init = LinExpr.__init__
+
+        def counted_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinExpr, "__init__", counted_init)
+        optimize_topology(placements)
+        assert built <= 4 * len(placements)

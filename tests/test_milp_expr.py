@@ -111,6 +111,36 @@ class TestModel:
         with pytest.raises(ValueError):
             model.add_constraint(x >= 0)
 
+    def test_add_rows_rejects_a_foreign_variable_atomically(self, model):
+        x = model.add_continuous("x")
+        y = Model("other").add_continuous("y")
+        with pytest.raises(ValueError, match="not owned"):
+            model.add_rows([{x: 1.0}, {y: 1.0}], "<=", [1.0, 2.0], ["a", "b"])
+        with pytest.raises(ValueError):
+            model.add_rows([{x: 1.0}], "<=", [1.0, 2.0], ["a"])
+        assert model.n_constraints == 0
+        assert model.to_standard_form().a_matrix.shape == (0, 1)
+
+    def test_add_rows_sparse_rows(self, model):
+        x = model.add_continuous("x")
+        z = model.add_binary("z")
+        model.add_constraint(x + z >= 1, name="first")
+        model.add_rows([{x: 2.0, z: 0.0}, {z: -1.0}, {}], ["<=", "==", ">="],
+                       [4.0, -1.0, 0.0], ["a", "b", "c"])
+        form = model.to_standard_form()
+        assert form.a_matrix.nnz == 4  # the zero is dropped
+        assert form.a_matrix.toarray().tolist() == \
+            [[1.0, 1.0], [2.0, 0.0], [0.0, -1.0], [0.0, 0.0]]
+        assert form.row_lb.tolist() == [1.0, -math.inf, -1.0, 0.0]
+        assert form.row_ub.tolist() == [math.inf, 4.0, -1.0, math.inf]
+        first, a, b, c = model.constraints
+        assert first.name == "first"
+        assert (a.name, a.sense, a.expr.terms, a.expr.constant) == \
+            ("a", Sense.LE, {x: 2.0}, -4.0)
+        assert (b.name, b.sense, b.expr.terms, b.expr.constant) == \
+            ("b", Sense.EQ, {z: -1.0}, 1.0)
+        assert (c.name, c.sense, c.expr.terms) == ("c", Sense.GE, {})
+
     def test_non_constraint_rejected(self, model):
         with pytest.raises(TypeError):
             model.add_constraint(True)  # comparison accidentally boolean

@@ -2,7 +2,8 @@
 
 The vectorization pass rewired three hot paths — the branch-and-bound node
 frontier (contiguous arrays vs per-node objects), constraint assembly
-(CSR block splicing vs per-row appends), and the skyline/covering geometry
+(one row store built into CSR in one call vs per-row appends), and the
+skyline/covering geometry
 (numpy row operations vs per-step loops) — and added batched solving
 (:func:`repro.milp.solvers.registry.solve_many`).  Every fast path keeps a
 scalar reference, and this suite pins them against each other:
@@ -13,7 +14,8 @@ scalar reference, and this suite pins them against each other:
 * the persistent HiGHS engine and its per-call linprog fallback explore the
   identical tree;
 * the assembled standard form equals a dense per-row scalar reconstruction
-  exactly (no tolerance — same floats, same order);
+  exactly (no tolerance — same floats, same order), and its ``indptr``,
+  ``indices`` and ``data`` equal those of that reconstruction as CSR;
 * the array-backed :class:`~repro.geometry.skyline.Skyline` and the covering
   decompositions byte-match a scalar reference implementation of the same
   epsilon semantics;
@@ -34,6 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.check.fuzz import _floorplan_shaped, generate_model
 from repro.core.config import FloorplanConfig
@@ -204,7 +207,7 @@ class TestLinprogFallbackParity:
 
 
 # ---------------------------------------------------------------------------
-# constraint assembly: CSR blocks vs dense per-row reconstruction
+# constraint assembly: the row store's CSR vs dense per-row reconstruction
 # ---------------------------------------------------------------------------
 
 
@@ -240,6 +243,11 @@ def _assert_assembly_parity(model: Model) -> None:
     a, row_lb, row_ub, c, c0 = _scalar_assembly(model)
     assert form.a_matrix.shape == a.shape
     np.testing.assert_array_equal(form.a_matrix.toarray(), a)
+    # Equal as stored, too: sorted column indices, no explicit zeros.
+    reference = sparse.csr_matrix(a)
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(form.a_matrix, part),
+                                      getattr(reference, part))
     np.testing.assert_array_equal(form.row_lb, row_lb)
     np.testing.assert_array_equal(form.row_ub, row_ub)
     np.testing.assert_array_equal(form.c, c)
