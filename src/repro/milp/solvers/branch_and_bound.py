@@ -47,6 +47,7 @@ import numpy as np
 from repro.milp.expr import Variable
 from repro.milp.model import Model, StandardForm
 from repro.milp.solution import Solution, SolveStatus
+from repro.milp.solvers.scipy_backend import linprog_rows
 from repro.milp.solvers.simplex import LpStatus, solve_lp_arrays
 from repro.milp.telemetry import SolveTelemetry
 
@@ -140,7 +141,7 @@ class _LinprogEngine:
     def __init__(self, form: StandardForm) -> None:
         self.form = form
         self.n_calls = 0
-        self._linprog_kwargs = _rows_for_linprog(form)
+        self._linprog_kwargs = linprog_rows(form)
 
     def solve(self, lb: np.ndarray,
               ub: np.ndarray) -> tuple[str, np.ndarray | None, float]:
@@ -194,30 +195,6 @@ def _make_engine(form: StandardForm, engine: str):
     if engine == "simplex":
         return _SimplexEngine(form)
     raise ValueError(f"unknown lp engine {engine!r}")
-
-
-def _rows_for_linprog(form: StandardForm) -> dict:
-    """Split two-sided rows into linprog's A_ub/A_eq arguments."""
-    from scipy import sparse
-
-    eq_mask = np.isfinite(form.row_lb) & (form.row_lb == form.row_ub)
-    ub_mask = np.isfinite(form.row_ub) & ~eq_mask
-    lb_mask = np.isfinite(form.row_lb) & ~eq_mask
-    kwargs: dict = {"A_ub": None, "b_ub": None, "A_eq": None, "b_eq": None}
-    a_parts, b_parts = [], []
-    if ub_mask.any():
-        a_parts.append(form.a_matrix[ub_mask])
-        b_parts.append(form.row_ub[ub_mask])
-    if lb_mask.any():
-        a_parts.append(-form.a_matrix[lb_mask])
-        b_parts.append(-form.row_lb[lb_mask])
-    if a_parts:
-        kwargs["A_ub"] = sparse.vstack(a_parts).tocsr()
-        kwargs["b_ub"] = np.concatenate(b_parts)
-    if eq_mask.any():
-        kwargs["A_eq"] = form.a_matrix[eq_mask]
-        kwargs["b_eq"] = form.row_lb[eq_mask]
-    return kwargs
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from repro.milp.model import Model, StandardForm
 from repro.milp.solution import Solution, SolveStatus
@@ -47,7 +47,7 @@ def solve_highs(model: Model, *, time_limit: float | None = None,
             bounds=np.column_stack([form.lb, form.ub]),
             method="highs",
             options={"time_limit": time_limit} if time_limit else None,
-            **_linprog_rows(form),
+            **linprog_rows(form),
         )
         elapsed = time.perf_counter() - start
         return _from_scipy(result, form, model, elapsed, backend="highs-lp")
@@ -110,31 +110,25 @@ def _round_sig_sparse(matrix, digits: int = 12):
     return rounded
 
 
-def _linprog_rows(form) -> dict[str, np.ndarray | None]:
-    """Split (row_lb, row_ub) rows into linprog's A_ub/b_ub and A_eq/b_eq."""
-    a_dense = form.a_matrix
+def linprog_rows(form: StandardForm) -> dict[str, np.ndarray | None]:
+    """Split two-sided rows into linprog's A_ub/b_ub and A_eq/b_eq
+    arguments (the LP path here and bnb's per-node linprog engine)."""
     eq_mask = np.isfinite(form.row_lb) & (form.row_lb == form.row_ub)
     ub_mask = np.isfinite(form.row_ub) & ~eq_mask
     lb_mask = np.isfinite(form.row_lb) & ~eq_mask
-
-    a_ub_parts = []
-    b_ub_parts = []
+    kwargs: dict = {"A_ub": None, "b_ub": None, "A_eq": None, "b_eq": None}
+    a_parts, b_parts = [], []
     if ub_mask.any():
-        a_ub_parts.append(a_dense[ub_mask])
-        b_ub_parts.append(form.row_ub[ub_mask])
+        a_parts.append(form.a_matrix[ub_mask])
+        b_parts.append(form.row_ub[ub_mask])
     if lb_mask.any():
-        a_ub_parts.append(-a_dense[lb_mask])
-        b_ub_parts.append(-form.row_lb[lb_mask])
-
-    kwargs: dict[str, np.ndarray | None] = {
-        "A_ub": None, "b_ub": None, "A_eq": None, "b_eq": None}
-    if a_ub_parts:
-        from scipy import sparse
-
-        kwargs["A_ub"] = sparse.vstack(a_ub_parts).tocsr()
-        kwargs["b_ub"] = np.concatenate(b_ub_parts)
+        a_parts.append(-form.a_matrix[lb_mask])
+        b_parts.append(-form.row_lb[lb_mask])
+    if a_parts:
+        kwargs["A_ub"] = sparse.vstack(a_parts).tocsr()
+        kwargs["b_ub"] = np.concatenate(b_parts)
     if eq_mask.any():
-        kwargs["A_eq"] = a_dense[eq_mask]
+        kwargs["A_eq"] = form.a_matrix[eq_mask]
         kwargs["b_eq"] = form.row_lb[eq_mask]
     return kwargs
 
