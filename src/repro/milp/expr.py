@@ -107,8 +107,10 @@ class Variable(_Algebra):
         """The expression ``1.0 * self``."""
         return LinExpr({self: 1.0}, 0.0)
 
-    def __hash__(self) -> int:
-        return id(self)
+    # Identity hashing in C.  CPython's pointer hash is a bijection of the
+    # address, so two live variables never share a hash and a dict lookup
+    # never falls through to _Algebra.__eq__ (which builds a Constraint).
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r}, {self.kind.value}, [{self.lb}, {self.ub}])"
