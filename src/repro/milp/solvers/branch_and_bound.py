@@ -47,7 +47,7 @@ import numpy as np
 from repro.milp.expr import Variable
 from repro.milp.model import Model, StandardForm
 from repro.milp.solution import Solution, SolveStatus
-from repro.milp.solvers.scipy_backend import linprog_rows
+from repro.milp.solvers.scipy_backend import highs_lp, linprog_rows
 from repro.milp.solvers.simplex import LpStatus, solve_lp_arrays
 from repro.milp.telemetry import SolveTelemetry
 
@@ -81,27 +81,12 @@ class _PersistentHighsEngine:
         self.form = form
         self.n_calls = 0
         self._hcore = hcore
-        n = len(form.variables)
-        m = form.a_matrix.shape[0]
-        csc = form.a_matrix.tocsc()
-        lp = hcore.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = m
-        lp.col_cost_ = np.asarray(form.c, dtype=np.float64)
-        lp.col_lower_ = np.asarray(form.lb, dtype=np.float64)
-        lp.col_upper_ = np.asarray(form.ub, dtype=np.float64)
-        lp.row_lower_ = np.asarray(form.row_lb, dtype=np.float64)
-        lp.row_upper_ = np.asarray(form.row_ub, dtype=np.float64)
-        lp.a_matrix_.format_ = hcore.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = np.asarray(csc.indptr, dtype=np.int32)
-        lp.a_matrix_.index_ = np.asarray(csc.indices, dtype=np.int32)
-        lp.a_matrix_.value_ = np.asarray(csc.data, dtype=np.float64)
         h = hcore._Highs()
         h.setOptionValue("output_flag", False)
         h.setOptionValue("threads", 1)
-        h.passModel(lp)
+        h.passModel(highs_lp(hcore, form))
         self._h = h
-        self._n = n
+        self._n = n = len(form.variables)
         self._all_cols = np.arange(n, dtype=np.int32)
 
     def solve(self, lb: np.ndarray,

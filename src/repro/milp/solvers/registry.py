@@ -84,6 +84,10 @@ _WARM_START_BACKENDS = frozenset({"bnb", "portfolio", "smt"})
 #: presolves every model itself, so ours would only cost time.
 _PRESOLVE_BACKENDS = frozenset({"bnb", "portfolio", "simplex", "smt"})
 
+#: Backends that run :func:`~repro.milp.solvers.scipy_backend.solve_highs`:
+#: their cache keys carry its effective HiGHS option profile.
+_HIGHS_BACKENDS = frozenset({"highs", "portfolio"})
+
 
 def available_backends() -> tuple[str, ...]:
     """Names accepted by :func:`solve`."""
@@ -205,9 +209,10 @@ def solve(model: Model, backend: str = "highs", *,
             Hits are re-certified against the raw standard form before
             being served (see :mod:`repro.milp.cache`).  The key folds in
             ``backend``, whether presolve runs, whether a warm start is
-            read, the ``mip_rel_gap`` / ``int_tol`` tolerances and
-            ``context``, so configurations that could return different
-            optimal vertices never share an entry.
+            read, the ``mip_rel_gap`` / ``int_tol`` tolerances,
+            ``context`` and, for the backends that run HiGHS's MIP solver,
+            its effective option profile, so configurations that could
+            return different optimal vertices never share an entry.
         form: a precomputed ``model.to_standard_form()``; batching callers
             (:func:`solve_many`) pass it so canonicalization and cache-key
             hashing happen once per instance, not once per variant.
@@ -269,10 +274,18 @@ def _lookup(cache: "SolveCache", model: Model, form: StandardForm,
     int_tol = float(options.get("int_tol", 1e-6))
     mip_rel_gap = float(options.get("mip_rel_gap", 1e-4))
     started = time.perf_counter()
-    key = cache_mod.canonical_form_key(form, context=(
-        backend, bool(presolve), warm_started,
-        cache_mod._q(mip_rel_gap), cache_mod._q(int_tol),
-        *context.key_items()))
+    items = (backend, bool(presolve), warm_started,
+             cache_mod._q(mip_rel_gap), cache_mod._q(int_tol),
+             *context.key_items())
+    if backend in _HIGHS_BACKENDS:
+        from repro.milp.solvers.scipy_backend import highs_profile
+
+        # HiGHS's defaults add no entry, so their keys are the ones
+        # recorded before the profile existed.
+        profile = highs_profile()
+        if profile:
+            items += (profile,)
+    key = cache_mod.canonical_form_key(form, context=items)
     key_seconds = time.perf_counter() - started
     cache.stats.key_seconds += key_seconds
     served = cache_mod.serve_cached(cache, key, model, form, int_tol=int_tol,

@@ -1,13 +1,22 @@
-"""HiGHS backend via :func:`scipy.optimize.milp`.
+"""HiGHS backend: each MIP on its own directly configured HiGHS instance.
 
 This is the default "LINDO" of the reproduction: a black-box exact MILP
-solver.  Pure-LP models are routed through :func:`scipy.optimize.linprog`
-(also HiGHS) which is faster and returns dual information.
+solver.  Each MIP goes to a fresh instance of SciPy's vendored HiGHS
+bindings (``scipy.optimize._highspy``, which bnb's LP engine uses too),
+configured with the option profile :data:`HIGHS_PROFILE`.  That skips
+:func:`scipy.optimize.milp`'s input checks and result post-processing but
+reports what milp would.  Where a SciPy lacks those bindings,
+:func:`scipy.optimize.milp` solves the MIP with HiGHS's default options.
+Pure-LP models are routed through :func:`scipy.optimize.linprog` (also
+HiGHS), which returns dual information.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import time
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import optimize, sparse
@@ -15,6 +24,59 @@ from scipy import optimize, sparse
 from repro.milp.model import Model, StandardForm
 from repro.milp.solution import Solution, SolveStatus
 from repro.milp.telemetry import SolveTelemetry
+
+#: HiGHS options every MIP solve sets on top of its gap and limits.  An
+#: option this HiGHS lacks is left out (:func:`highs_profile`).
+HIGHS_PROFILE: dict[str, bool | int | float | str] = {}
+
+
+def _highs_core():
+    """SciPy's vendored HiGHS bindings, or None where this SciPy lacks
+    them."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    return _core
+
+
+@functools.cache
+def _has_option(name: str) -> bool:
+    """Whether this HiGHS has option ``name``; probed once per name."""
+    return hasattr(_highs_core().HighsOptions(), name)
+
+
+def highs_profile() -> tuple[tuple[str, object], ...]:
+    """The effective profile: the ``(name, value)`` entries of
+    :data:`HIGHS_PROFILE` this HiGHS has.  Empty where the bindings are
+    missing, since :func:`scipy.optimize.milp` then runs HiGHS's defaults.
+    The solve cache keys the backends that run :func:`solve_highs` on it."""
+    if _highs_core() is None:
+        return ()
+    return tuple((name, value) for name, value in HIGHS_PROFILE.items()
+                 if _has_option(name))
+
+
+def highs_lp(core, form: StandardForm, *, integer: bool = False):
+    """``form`` as a column-wise ``HighsLp`` of the HiGHS bindings
+    ``core``; ``integer`` passes its integrality too."""
+    csc = form.a_matrix.tocsc()
+    lp = core.HighsLp()
+    lp.num_col_ = len(form.variables)
+    lp.num_row_ = form.a_matrix.shape[0]
+    lp.col_cost_ = np.asarray(form.c, dtype=np.float64)
+    lp.col_lower_ = np.asarray(form.lb, dtype=np.float64)
+    lp.col_upper_ = np.asarray(form.ub, dtype=np.float64)
+    lp.row_lower_ = np.asarray(form.row_lb, dtype=np.float64)
+    lp.row_upper_ = np.asarray(form.row_ub, dtype=np.float64)
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.asarray(csc.indptr, dtype=np.int32)
+    lp.a_matrix_.index_ = np.asarray(csc.indices, dtype=np.int32)
+    lp.a_matrix_.value_ = np.asarray(csc.data, dtype=np.float64)
+    if integer:
+        kinds = (core.HighsVarType.kContinuous, core.HighsVarType.kInteger)
+        lp.integrality_ = [kinds[k] for k in form.integrality.tolist()]
+    return lp
 
 
 def solve_highs(model: Model, *, time_limit: float | None = None,
@@ -52,28 +114,20 @@ def solve_highs(model: Model, *, time_limit: float | None = None,
         elapsed = time.perf_counter() - start
         return _from_scipy(result, form, model, elapsed, backend="highs-lp")
 
-    constraints = optimize.LinearConstraint(
-        form.a_matrix, form.row_lb, form.row_ub)
-    bounds = optimize.Bounds(form.lb, form.ub)
-    options: dict[str, object] = {"mip_rel_gap": mip_rel_gap}
+    options: dict[str, float] = {"mip_rel_gap": float(mip_rel_gap)}
     if time_limit is not None:
-        options["time_limit"] = time_limit
+        options["time_limit"] = float(time_limit)
     if node_limit is not None:
-        options["node_limit"] = node_limit
-    result = optimize.milp(
-        form.c, constraints=constraints, bounds=bounds,
-        integrality=form.integrality, options=options)
+        options["node_limit"] = int(node_limit)
+    result = _solve_mip(form, options)
     if result.status == 4:
         # Some HiGHS builds report "Solve error" on numerically touchy
         # instances; rounding every coefficient to 12 significant digits
         # (far above modeling precision) reliably sidesteps it.
-        result = optimize.milp(
-            form.c,
-            constraints=optimize.LinearConstraint(
-                _round_sig_sparse(form.a_matrix),
-                _round_sig(form.row_lb), _round_sig(form.row_ub)),
-            bounds=optimize.Bounds(_round_sig(form.lb), _round_sig(form.ub)),
-            integrality=form.integrality, options=options)
+        result = _solve_mip(dataclasses.replace(
+            form, a_matrix=_round_sig_sparse(form.a_matrix),
+            row_lb=_round_sig(form.row_lb), row_ub=_round_sig(form.row_ub),
+            lb=_round_sig(form.lb), ub=_round_sig(form.ub)), options)
     if result.status == 4:
         # Some HiGHS builds keep failing even on the rounded data, on models
         # the from-scratch branch-and-bound solves cleanly; fall back to it
@@ -93,6 +147,60 @@ def solve_highs(model: Model, *, time_limit: float | None = None,
             return fallback
     elapsed = time.perf_counter() - start
     return _from_scipy(result, form, model, elapsed, backend="highs")
+
+
+def _solve_mip(form: StandardForm, options: dict[str, float]):
+    """Solve the MIP ``form`` under milp's ``options`` (``mip_rel_gap``,
+    ``time_limit``, ``node_limit``) plus :func:`highs_profile`.
+
+    Returns what :func:`scipy.optimize.milp` would: its ``status`` code,
+    ``message``, ``x``, ``mip_node_count`` and ``mip_dual_bound``.
+    """
+    core = _highs_core()
+    if core is None:
+        return optimize.milp(
+            form.c, constraints=optimize.LinearConstraint(
+                form.a_matrix, form.row_lb, form.row_ub),
+            bounds=optimize.Bounds(form.lb, form.ub),
+            integrality=form.integrality, options=options)
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+    h = core._Highs()
+    h.setOptionValue("log_to_console", False)
+    for name, value in (*options.items(), *highs_profile()):
+        h.setOptionValue("mip_max_nodes" if name == "node_limit" else name,
+                         value)
+    kind = core.HighsModelStatus
+    point: dict = {}
+    if h.passModel(highs_lp(core, form, integer=True)) \
+            == core.HighsStatus.kError:
+        status = kind.kModelError
+        text = h.modelStatusToString(status)
+    elif h.run() == core.HighsStatus.kError:
+        status = h.getModelStatus()
+        text = h.modelStatusToString(status)
+    else:
+        # milp's rule: a point exists at optimality, or at a limit that
+        # left a finite incumbent.
+        status = h.getModelStatus()
+        info = h.getInfo()
+        limits = (kind.kTimeLimit, kind.kIterationLimit,
+                  kind.kSolutionLimit)
+        if status == kind.kOptimal or (
+                status in limits
+                and info.objective_function_value != core.kHighsInf):
+            text = h.modelStatusToString(status)
+            point = {"x": np.array(h.getSolution().col_value),
+                     "mip_node_count": info.mip_node_count,
+                     "mip_dual_bound": info.mip_dual_bound}
+        else:
+            text = (f"model_status is {h.modelStatusToString(status)}; "
+                    "primal_status is "
+                    + h.solutionStatusToString(info.primal_solution_status))
+    code, message = _highs_to_scipy_status_message(status, text)
+    return SimpleNamespace(**{"x": None, "mip_node_count": None,
+                              "mip_dual_bound": None, **point},
+                           status=code, message=message)
 
 
 def _round_sig(values: np.ndarray, digits: int = 12) -> np.ndarray:

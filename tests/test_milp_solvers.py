@@ -1,6 +1,7 @@
 """Unit tests for the three solver backends on known problems."""
 
 import math
+import warnings
 
 import pytest
 
@@ -185,6 +186,17 @@ class TestMilp:
         assert s.n_nodes >= 1
         assert not math.isnan(s.bound)
         assert s.gap() <= 1e-6
+
+    def test_highs_mip_solve_warns_nothing(self):
+        """HiGHS's MIP solve sets its option profile on its own instance,
+        so nothing (SciPy's "passed to HiGHS verbatim" warning included)
+        is raised as a warning."""
+        m, _ = _knapsack()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = solve(m, backend="highs")
+        assert s.status is SolveStatus.OPTIMAL
+        assert s.backend == "highs"
 
 
 class TestPortfolio:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from unittest import mock
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.milp.cache import (
 )
 from repro.milp.model import Model
 from repro.milp.solution import Solution, SolveStatus
+from repro.milp.solvers import scipy_backend
 from repro.milp.solvers.registry import solve
 
 
@@ -401,19 +403,20 @@ CONTEXT_PINS = {
 }
 
 
+@pytest.fixture
+def keys(monkeypatch) -> list[str]:
+    """Every cache key the registry computes during the test."""
+    seen: list[str] = []
+
+    def recording(form, context=()):
+        seen.append(canonical_form_key(form, context))
+        return seen[-1]
+
+    monkeypatch.setattr(cache_mod, "canonical_form_key", recording)
+    return seen
+
+
 class TestContextPins:
-    @pytest.fixture
-    def keys(self, monkeypatch) -> list[str]:
-        """Every cache key the registry computes during the test."""
-        seen: list[str] = []
-
-        def recording(form, context=()):
-            seen.append(canonical_form_key(form, context))
-            return seen[-1]
-
-        monkeypatch.setattr(cache_mod, "canonical_form_key", recording)
-        return seen
-
     @pytest.mark.parametrize("case", list(CONTEXT_PINS),
                              ids=lambda case: "-".join(map(str, case)))
     def test_solve_key_and_telemetry_are_pinned(self, case, keys):
@@ -448,3 +451,48 @@ class TestContextPins:
         assert keys == [CONTEXT_PINS[case][0]] * 2
         assert all(s.telemetry.cache["key"] == keys[0][:16]
                    for s in solutions)
+
+
+# ---------------------------------------------------------------------------
+# the HiGHS option profile in the key
+# ---------------------------------------------------------------------------
+
+class TestHighsProfileKey:
+    """The backends that run HiGHS's MIP solver key on its effective option
+    profile: what this HiGHS has of ``scipy_backend.HIGHS_PROFILE``."""
+
+    def _keys_under(self, profile: dict, backend: str, keys) -> list[str]:
+        with mock.patch.dict(scipy_backend.HIGHS_PROFILE, profile,
+                             clear=True):
+            solution = solve(_small_model(), backend=backend,
+                             cache=SolveCache())
+        assert solution.status is SolveStatus.OPTIMAL
+        return keys[-1]
+
+    def test_an_option_highs_lacks_is_dropped_and_kept_out_of_the_key(
+            self, keys):
+        with mock.patch.dict(scipy_backend.HIGHS_PROFILE,
+                             {"no_such_highs_option": 1}, clear=True):
+            assert scipy_backend.highs_profile() == ()
+        assert self._keys_under({"no_such_highs_option": 1}, "highs", keys) \
+            == self._keys_under({}, "highs", keys)
+
+    @pytest.mark.parametrize("backend", ["highs", "portfolio"])
+    def test_a_profile_option_splits_the_key(self, backend, keys):
+        fj_off = {"mip_heuristic_run_feasibility_jump": False}
+        assert self._keys_under(fj_off, backend, keys) \
+            != self._keys_under({}, backend, keys)
+
+    def test_backends_without_highs_mip_ignore_the_profile(self, keys):
+        fj_off = {"mip_heuristic_run_feasibility_jump": False}
+        assert self._keys_under(fj_off, "bnb", keys) \
+            == self._keys_under({}, "bnb", keys)
+
+    def test_no_bindings_keys_at_highs_defaults(self, keys):
+        """Where ``_highspy`` is missing, milp runs HiGHS's defaults and
+        the key says so."""
+        fj_off = {"mip_heuristic_run_feasibility_jump": False}
+        with mock.patch.object(scipy_backend, "_highs_core",
+                               return_value=None):
+            without = self._keys_under(fj_off, "highs", keys)
+        assert without == self._keys_under({}, "highs", keys)

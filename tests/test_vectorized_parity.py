@@ -13,6 +13,8 @@ scalar reference, and this suite pins them against each other:
   on seeded and hypothesis-generated instances;
 * the persistent HiGHS engine and its per-call linprog fallback explore the
   identical tree;
+* the highs backend's direct HiGHS call and its :func:`scipy.optimize.milp`
+  fallback return the same solve under either option profile;
 * the assembled standard form equals a dense per-row scalar reconstruction
   exactly (no tolerance — same floats, same order), and its ``indptr``,
   ``indices`` and ``data`` equal those of that reconstruction as CSR;
@@ -29,6 +31,8 @@ import heapq
 import itertools
 import math
 import random
+import sys
+import warnings
 from dataclasses import dataclass, field
 from unittest import mock
 
@@ -49,9 +53,11 @@ from repro.geometry.covering import (
 from repro.geometry.rect import GEOM_EPS, Rect
 from repro.geometry.skyline import Skyline
 from repro.milp.cache import SolveCache
+from repro.milp.expr import VarKind
 from repro.milp.model import Model, ObjectiveSense, Sense
 from repro.milp.solution import SolveStatus
 from repro.milp.solvers import branch_and_bound as bnb
+from repro.milp.solvers import scipy_backend
 from repro.milp.solvers.branch_and_bound import _Popped, solve_bnb
 from repro.milp.solvers.registry import solve, solve_many
 from repro.netlist.generators import random_netlist
@@ -204,6 +210,115 @@ class TestLinprogFallbackParity:
                              [(3, 0), (3, 3), (4, 0), (5, 1), (6, 0)])
     def test_window_instances(self, n_modules, seed):
         _engine_pair(_window_model(n_modules, seed))
+
+
+# ---------------------------------------------------------------------------
+# highs backend: the direct HiGHS call vs its scipy.optimize.milp fallback
+# ---------------------------------------------------------------------------
+
+#: HiGHS's defaults, and feasibility jump off.
+PROFILES = [{}, {"mip_heuristic_run_feasibility_jump": False}]
+
+
+def _without_highspy(profile: dict):
+    """Context managers under which ``scipy.optimize._highspy`` cannot be
+    imported and milp is handed ``profile`` on top of its options, as the
+    direct call is (the fallback itself runs HiGHS's defaults)."""
+    real_milp = scipy_backend.optimize.milp
+
+    def milp(*args, options, **kwargs):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Unrecognized options",
+                                    RuntimeWarning)
+            return real_milp(*args, options={**options, **profile},
+                             **kwargs)
+
+    return (mock.patch.dict(sys.modules, {"scipy.optimize._highspy": None}),
+            mock.patch.object(scipy_backend.optimize, "milp",
+                              side_effect=milp))
+
+
+def _raw_pair(form, profile: dict, options: dict):
+    """``_solve_mip`` direct and through milp: the same SciPy-style
+    result."""
+    with mock.patch.dict(scipy_backend.HIGHS_PROFILE, profile, clear=True):
+        direct = scipy_backend._solve_mip(form, options)
+    no_bindings, patched_milp = _without_highspy(profile)
+    with no_bindings, patched_milp as fallback:
+        via_milp = scipy_backend._solve_mip(form, options)
+    assert fallback.called
+    assert (direct.status, direct.message, direct.mip_node_count) == \
+        (via_milp.status, via_milp.message, via_milp.mip_node_count)
+    np.testing.assert_equal((direct.x, direct.mip_dual_bound),
+                            (via_milp.x, via_milp.mip_dual_bound))
+    return direct
+
+
+def _highs_pair(model: Model, profile: dict, **options):
+    """``solve_highs`` direct and through milp: the same Solution."""
+    with mock.patch.dict(scipy_backend.HIGHS_PROFILE, profile, clear=True):
+        direct = scipy_backend.solve_highs(model, mip_rel_gap=1e-6,
+                                           **options)
+    no_bindings, patched_milp = _without_highspy(profile)
+    with no_bindings, patched_milp:
+        via_milp = scipy_backend.solve_highs(model, mip_rel_gap=1e-6,
+                                             **options)
+    assert (direct.status, direct.n_nodes, direct.message,
+            direct.backend) == (via_milp.status, via_milp.n_nodes,
+                                via_milp.message, via_milp.backend)
+    np.testing.assert_equal((direct.objective, direct.bound),
+                            (via_milp.objective, via_milp.bound))
+    assert {v.name: x for v, x in direct.values.items()} == \
+        {v.name: x for v, x in via_milp.values.items()}
+    return direct
+
+
+class TestMilpFallbackParity:
+    """Where SciPy lacks its vendored HiGHS bindings, ``solve_highs`` solves
+    each MIP with :func:`scipy.optimize.milp`; given the same options it
+    must return what the direct call returns: status, objective, bound,
+    values, node count and message."""
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=["default", "fj-off"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_instances(self, seed, profile):
+        _highs_pair(generate_model(random.Random(seed * 911 + 17)), profile)
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=["default", "fj-off"])
+    @pytest.mark.parametrize("n_modules,seed",
+                             [(3, 0), (4, 0), (5, 1), (6, 0)])
+    def test_window_instances(self, n_modules, seed, profile):
+        solution = _highs_pair(_window_model(n_modules, seed), profile)
+        assert solution.status is SolveStatus.OPTIMAL
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=["default", "fj-off"])
+    def test_node_limit_stop(self, profile):
+        model = _window_model(6, 0)
+        raw = _raw_pair(model.to_standard_form(), profile,
+                        {"mip_rel_gap": 1e-6, "node_limit": 3})
+        assert "Solution limit reached" in raw.message
+        assert raw.mip_node_count == 3 and raw.x is not None
+        _highs_pair(model, profile, node_limit=3)
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=["default", "fj-off"])
+    def test_infeasible_mip(self, profile):
+        m = Model("infeasible")
+        x = m.add_var("x", 0.0, 3.0, VarKind.INTEGER)
+        y = m.add_continuous("y", lb=0.0, ub=1.0)
+        m.add_constraint(2.0 * x + y == 3.5)
+        m.add_constraint(y <= 0.25)
+        m.set_objective(x + y)
+        assert _highs_pair(m, profile).status is SolveStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=["default", "fj-off"])
+    def test_unbounded_mip(self, profile):
+        m = Model("unbounded")
+        x = m.add_var("x", 0.0, math.inf, VarKind.INTEGER)
+        y = m.add_continuous("y", lb=0.0, ub=1.0)
+        m.add_constraint(x - y >= 0.5)
+        m.set_objective(-1.0 * x - y)
+        solution = _highs_pair(m, profile)
+        assert not solution.status.has_solution
 
 
 # ---------------------------------------------------------------------------
