@@ -69,7 +69,7 @@ import numpy as np
 
 from repro.milp.expr import VarKind
 from repro.milp.model import Model, StandardForm
-from repro.milp.solution import Solution, SolveStatus
+from repro.milp.solution import DEFAULT_MIP_REL_GAP, Solution, SolveStatus
 from repro.milp.telemetry import SolveTelemetry
 
 #: Significant digits kept when quantizing coefficients and bounds into the
@@ -448,7 +448,7 @@ class SolveCache:
 
 def serve_cached(cache: SolveCache, key: str, model: Model,
                  form: StandardForm, *, int_tol: float = 1e-6,
-                 mip_rel_gap: float = 1e-4,
+                 mip_rel_gap: float = DEFAULT_MIP_REL_GAP,
                  key_seconds: float = 0.0) -> Solution | None:
     """Look up ``key`` and serve the stored solution **only if it
     re-certifies** against ``model``'s raw standard form.

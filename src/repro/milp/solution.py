@@ -8,6 +8,10 @@ from enum import Enum
 from repro.milp.expr import LinExpr, Variable
 from repro.milp.telemetry import SolveTelemetry
 
+#: The relative MIP gap a backend solves at when the caller names none.
+#: The solve cache keys and re-certifies such a solve at this gap too.
+DEFAULT_MIP_REL_GAP = 1e-6
+
 
 class SolveStatus(str, Enum):
     """Outcome of a solve call."""

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.milp.expr import Variable
 from repro.milp.model import Model, StandardForm
-from repro.milp.solution import Solution, SolveStatus
+from repro.milp.solution import DEFAULT_MIP_REL_GAP, Solution, SolveStatus
 from repro.milp.solvers.scipy_backend import highs_lp, linprog_rows
 from repro.milp.solvers.simplex import LpStatus, solve_lp_arrays
 from repro.milp.telemetry import SolveTelemetry
@@ -330,7 +330,8 @@ class _ArrayFrontier:
 
 
 def solve_bnb(model: Model, *, time_limit: float | None = None,
-              mip_rel_gap: float = 1e-6, node_limit: int = 200_000,
+              mip_rel_gap: float = DEFAULT_MIP_REL_GAP,
+              node_limit: int = 200_000,
               lp_engine: str = "highs", int_tol: float = INT_TOL,
               stop: threading.Event | None = None,
               form: StandardForm | None = None,

@@ -30,13 +30,14 @@ from typing import Mapping
 
 from repro.milp.expr import Variable
 from repro.milp.model import Model, ObjectiveSense, StandardForm
-from repro.milp.solution import Solution, SolveStatus
+from repro.milp.solution import DEFAULT_MIP_REL_GAP, Solution, SolveStatus
 from repro.milp.solvers.branch_and_bound import INT_TOL, solve_bnb
 from repro.milp.solvers.scipy_backend import solve_highs
 
 
 def solve_portfolio(model: Model, *, time_limit: float | None = None,
-                    mip_rel_gap: float = 1e-6, node_limit: int = 200_000,
+                    mip_rel_gap: float = DEFAULT_MIP_REL_GAP,
+                    node_limit: int = 200_000,
                     int_tol: float = INT_TOL,
                     lp_engine: str = "simplex",
                     form: StandardForm | None = None,

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.milp.expr import Variable
 from repro.milp.model import Model, StandardForm
-from repro.milp.solution import Solution, SolveStatus
+from repro.milp.solution import DEFAULT_MIP_REL_GAP, Solution, SolveStatus
 from repro.milp.telemetry import SolveContext
 
 if TYPE_CHECKING:
@@ -272,7 +272,7 @@ def _lookup(cache: "SolveCache", model: Model, form: StandardForm,
     from repro.milp import cache as cache_mod
 
     int_tol = float(options.get("int_tol", 1e-6))
-    mip_rel_gap = float(options.get("mip_rel_gap", 1e-4))
+    mip_rel_gap = float(options.get("mip_rel_gap", DEFAULT_MIP_REL_GAP))
     started = time.perf_counter()
     items = (backend, bool(presolve), warm_started,
              cache_mod._q(mip_rel_gap), cache_mod._q(int_tol),

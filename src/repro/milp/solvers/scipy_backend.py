@@ -22,7 +22,7 @@ import numpy as np
 from scipy import optimize, sparse
 
 from repro.milp.model import Model, StandardForm
-from repro.milp.solution import Solution, SolveStatus
+from repro.milp.solution import DEFAULT_MIP_REL_GAP, Solution, SolveStatus
 from repro.milp.telemetry import SolveTelemetry
 
 #: HiGHS options every MIP solve sets on top of its gap and limits.  An
@@ -80,7 +80,7 @@ def highs_lp(core, form: StandardForm, *, integer: bool = False):
 
 
 def solve_highs(model: Model, *, time_limit: float | None = None,
-                mip_rel_gap: float = 1e-6,
+                mip_rel_gap: float = DEFAULT_MIP_REL_GAP,
                 node_limit: int | None = None,
                 form: StandardForm | None = None) -> Solution:
     """Solve ``model`` with HiGHS.

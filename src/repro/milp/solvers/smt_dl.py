@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.milp.expr import Variable
 from repro.milp.model import Model, StandardForm
-from repro.milp.solution import Solution, SolveStatus
+from repro.milp.solution import DEFAULT_MIP_REL_GAP, Solution, SolveStatus
 from repro.milp.telemetry import SolveTelemetry
 
 #: Default integrality tolerance (mirrors the branch-and-bound default).
@@ -226,7 +226,8 @@ def _validated_warm_start(form: StandardForm,
 
 
 def solve_smt(model: Model, *, time_limit: float | None = None,
-              mip_rel_gap: float = 1e-4, node_limit: int | None = None,
+              mip_rel_gap: float = DEFAULT_MIP_REL_GAP,
+              node_limit: int | None = None,
               int_tol: float = INT_TOL,
               stop: threading.Event | None = None,
               form: StandardForm | None = None,

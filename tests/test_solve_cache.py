@@ -28,7 +28,7 @@ from repro.milp.cache import (
     resolve_cache_dir,
 )
 from repro.milp.model import Model
-from repro.milp.solution import Solution, SolveStatus
+from repro.milp.solution import DEFAULT_MIP_REL_GAP, Solution, SolveStatus
 from repro.milp.solvers import scipy_backend
 from repro.milp.solvers.registry import solve
 
@@ -199,6 +199,21 @@ class TestRegistryIntegration:
         solve(model, backend="highs", cache=cache)
         other = solve(model, backend="bnb", cache=cache)
         assert other.telemetry.cache["hit"] is False
+
+    @pytest.mark.parametrize("backend", ["highs", "bnb", "portfolio"])
+    def test_a_solve_naming_no_gap_is_keyed_at_the_default_gap(self,
+                                                                backend):
+        """A solve that passes no ``mip_rel_gap`` runs at the backend's
+        default gap, so it is keyed there: entries stored by solves at
+        another gap are not served to it."""
+        model = _small_model()
+        cache = SolveCache()
+        solve(model, backend=backend, cache=cache, mip_rel_gap=1e-4)
+        default = solve(model, backend=backend, cache=cache)
+        assert default.telemetry.cache["hit"] is False
+        explicit = solve(model, backend=backend, cache=cache,
+                         mip_rel_gap=DEFAULT_MIP_REL_GAP)
+        assert explicit.telemetry.cache["hit"] is True
 
     def test_formulations_do_not_share_entries(self):
         """Regression: the formulation identity must be part of the key
@@ -377,29 +392,29 @@ def _pinned_doc(telemetry) -> str:
 #: plain case's key and bytes.
 CONTEXT_PINS = {
     (None, None, None, False, False): (
-        "7595243bbcb8b79d407ea7a62ff2d5e11381bd5210eb8d8c2dead2b674894571",
-        "8629cf961e08095769ead6fa0c03a9c83f14ec1712cda401c42901f6b8ec1dbb"),
+        "53a18cad0154d860ccb9aa4e79b0b7c6028a1dc96219a4b136d18129feac21d0",
+        "5ac528ddc4cfb13051d2d813169c7b2961304aa4ea8ff6ef47904ad76f8040ae"),
     ("bigm", None, None, False, False): (
-        "b780da3a8f14250ab8a6d2bdf8441345fec526518343abd29af12fc7b131e83c",
-        "c8ea6db8a1dcb4fa02768f8a810c80adfa2ac7bf89301fbe473b449bd1062ab3"),
+        "959a8a57449c23b62bbca51a3418c841a965a2f0ecded5fe48ea745bb6c68146",
+        "c6aef2e91d73a475170bfc2d404e7f7ebe626ba79c8fa44c4703021b7f840b85"),
     ("unary", None, None, False, False): (
-        "f978789296463bd1b1d77005a8102428593cf81e1ca0963b3b28e2ce4d5f6c20",
-        "e6217bc3a5083a971afedb354b5622ab8a1449972062b74559f74b2f096fd373"),
+        "a146d3492413440d912e44006225755e4330a38b16ac43da55e8ce2e57098140",
+        "f4b7914e633c129f11c15ba34e344281ee86da0afa4ff28544965edc13feb6e1"),
     (None, (10, 8), None, False, False): (
-        "72ec00a887a7f31f265bb63dc13e383b87a6acccad8214e39a987324833e37bf",
-        "7a146641a9c946f8d2809d062aaaf1d51cd0b0a6cd14918dfdfa46bf45c53037"),
+        "e6f04aaa962493da1f412c6ac3e4090ea77c108e88072402a1793b90b57d9f74",
+        "54d3628273c6b0263d492003c11c0cc2bf117114157b9bac472b1936cb8ec818"),
     (None, None, (2, 7), False, False): (
-        "86df1ad8745556f515566f721866fe62157d1524565ce5bf513f6ec2f03bc611",
-        "ddd9f9c1c97f6124e22447621b29c6f50703d05dd4fd3e869e709063d03d90ef"),
+        "3207d8a77584a6090cbc74856a1d6266fa35032ebd729533c8e03422a9a3d059",
+        "819beb7a954530e65442480c8ebd312ad89910e1a48e35c773ac69f66cf76aac"),
     (None, None, None, True, False): (
-        "7595243bbcb8b79d407ea7a62ff2d5e11381bd5210eb8d8c2dead2b674894571",
-        "8629cf961e08095769ead6fa0c03a9c83f14ec1712cda401c42901f6b8ec1dbb"),
+        "53a18cad0154d860ccb9aa4e79b0b7c6028a1dc96219a4b136d18129feac21d0",
+        "5ac528ddc4cfb13051d2d813169c7b2961304aa4ea8ff6ef47904ad76f8040ae"),
     (None, None, None, False, True): (
-        "7595243bbcb8b79d407ea7a62ff2d5e11381bd5210eb8d8c2dead2b674894571",
-        "8629cf961e08095769ead6fa0c03a9c83f14ec1712cda401c42901f6b8ec1dbb"),
+        "53a18cad0154d860ccb9aa4e79b0b7c6028a1dc96219a4b136d18129feac21d0",
+        "5ac528ddc4cfb13051d2d813169c7b2961304aa4ea8ff6ef47904ad76f8040ae"),
     ("unary", (10, 8), (2, 7), True, True): (
-        "32f38e55aa8eaf81640a7e4817b704df2e44284c02810ab35e21782094730aa0",
-        "c3d28e1a358bfeab59146d2b2f70a294a023421747d8214dbb3b873e3399499c"),
+        "adeaf5545d45d311c92d6303661e36f61682750c93153b0459c503af28d8d977",
+        "bb23231abe4ec1cbcc9498cdec6376cf82ef647ede282c3002beea63aafc40ac"),
 }
 
 
