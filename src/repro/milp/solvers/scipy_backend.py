@@ -26,8 +26,12 @@ from repro.milp.solution import DEFAULT_MIP_REL_GAP, Solution, SolveStatus
 from repro.milp.telemetry import SolveTelemetry
 
 #: HiGHS options every MIP solve sets on top of its gap and limits.  An
-#: option this HiGHS lacks is left out (:func:`highs_profile`).
-HIGHS_PROFILE: dict[str, bool | int | float | str] = {}
+#: option this HiGHS lacks is left out (:func:`highs_profile`).  HiGHS 1.12
+#: runs its feasibility-jump primal heuristic before every MIP; on the
+#: small windows of successive augmentation it costs more than the search
+#: itself and finds nothing the search would not (docs/algorithms.md §7).
+HIGHS_PROFILE: dict[str, bool | int | float | str] = {
+    "mip_heuristic_run_feasibility_jump": False}
 
 
 def _highs_core():

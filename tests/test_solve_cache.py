@@ -392,29 +392,29 @@ def _pinned_doc(telemetry) -> str:
 #: plain case's key and bytes.
 CONTEXT_PINS = {
     (None, None, None, False, False): (
-        "53a18cad0154d860ccb9aa4e79b0b7c6028a1dc96219a4b136d18129feac21d0",
-        "5ac528ddc4cfb13051d2d813169c7b2961304aa4ea8ff6ef47904ad76f8040ae"),
+        "c9f69d73bb722259c9463a8dcd8cb6e135457a7601328f240ba9bab75ff4eb9a",
+        "31faa899c33ed6d21c3f531a3fca44b33e72eaf99a92b2e8406de311e84fbc3f"),
     ("bigm", None, None, False, False): (
-        "959a8a57449c23b62bbca51a3418c841a965a2f0ecded5fe48ea745bb6c68146",
-        "c6aef2e91d73a475170bfc2d404e7f7ebe626ba79c8fa44c4703021b7f840b85"),
+        "346e6ee051017bf1c84f2106b5a9cdb387e4b829937688f5a46c18d80ba8b0b2",
+        "1ddb079caea066e082dbbf3fcdf233bfbadbc862fa1022d76b91dcb6610a51a4"),
     ("unary", None, None, False, False): (
-        "a146d3492413440d912e44006225755e4330a38b16ac43da55e8ce2e57098140",
-        "f4b7914e633c129f11c15ba34e344281ee86da0afa4ff28544965edc13feb6e1"),
+        "a748223f7321b5f6c4e81cf7b49454c32de1ae9c213cd2cb288365aca34f8cf3",
+        "b7eb93c6ce1ae1de5a633990800f56d6753c899b810a9ee323f435dd0d779b6c"),
     (None, (10, 8), None, False, False): (
-        "e6f04aaa962493da1f412c6ac3e4090ea77c108e88072402a1793b90b57d9f74",
-        "54d3628273c6b0263d492003c11c0cc2bf117114157b9bac472b1936cb8ec818"),
+        "b43b59708f0016105ad5bff2e08b19e08e1d4e6cdd978635edb1702d56fcd084",
+        "18f7faeaad042037d6460b76a24e25238c372df79a538551d70b33cca66b3e63"),
     (None, None, (2, 7), False, False): (
-        "3207d8a77584a6090cbc74856a1d6266fa35032ebd729533c8e03422a9a3d059",
-        "819beb7a954530e65442480c8ebd312ad89910e1a48e35c773ac69f66cf76aac"),
+        "cc0caf867e8526b7fb04763a4a854e640ee0520232236b311eb9698b1c11045c",
+        "0ebaa64cda304fba59f0f70b5589b7f070d9f9d68b05466343e40de0caffc377"),
     (None, None, None, True, False): (
-        "53a18cad0154d860ccb9aa4e79b0b7c6028a1dc96219a4b136d18129feac21d0",
-        "5ac528ddc4cfb13051d2d813169c7b2961304aa4ea8ff6ef47904ad76f8040ae"),
+        "c9f69d73bb722259c9463a8dcd8cb6e135457a7601328f240ba9bab75ff4eb9a",
+        "31faa899c33ed6d21c3f531a3fca44b33e72eaf99a92b2e8406de311e84fbc3f"),
     (None, None, None, False, True): (
-        "53a18cad0154d860ccb9aa4e79b0b7c6028a1dc96219a4b136d18129feac21d0",
-        "5ac528ddc4cfb13051d2d813169c7b2961304aa4ea8ff6ef47904ad76f8040ae"),
+        "c9f69d73bb722259c9463a8dcd8cb6e135457a7601328f240ba9bab75ff4eb9a",
+        "31faa899c33ed6d21c3f531a3fca44b33e72eaf99a92b2e8406de311e84fbc3f"),
     ("unary", (10, 8), (2, 7), True, True): (
-        "adeaf5545d45d311c92d6303661e36f61682750c93153b0459c503af28d8d977",
-        "bb23231abe4ec1cbcc9498cdec6376cf82ef647ede282c3002beea63aafc40ac"),
+        "2edd9a6754e37224b1bc57ddc6610168721e7431b3f9d502edabe4ccbc69a55e",
+        "78502eb40c6c8beb11f2f792ba71a87141887b4106cc08a4da353b0b7ad68ec3"),
 }
 
 
