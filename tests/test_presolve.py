@@ -343,3 +343,47 @@ class TestAugmentationStepParity:
                                                    raw.status)
             assert objectives_match(solution.objective, raw.objective), \
                 (step, solution.objective, raw.objective)
+
+
+class TestHighsProfileStepParity:
+    """Every augmentation step of a HiGHS run, solved again with HiGHS's
+    default options instead of ``scipy_backend.HIGHS_PROFILE``, reaches the
+    same status and optimal objective.  The profile only changes how HiGHS
+    searches, so either may return another optimal vertex (step-level, not
+    trajectory-level, as above)."""
+
+    @pytest.mark.parametrize("seed_size,group_size", [(6, 4), (3, 2)])
+    @pytest.mark.parametrize("make", [apte_like, hp_like],
+                             ids=["apte_like", "hp_like"])
+    def test_every_step_keeps_its_optimum(self, monkeypatch, make,
+                                          seed_size, group_size):
+        from unittest import mock
+
+        from repro.milp.solvers import scipy_backend
+
+        assert scipy_backend.highs_profile()
+        config = FloorplanConfig(
+            seed_size=seed_size, group_size=group_size, ordering_seed=0,
+            use_envelopes=True, technology=Technology.around_the_cell(),
+            subproblem_time_limit=10.0, mip_rel_gap=GAP, backend="highs",
+            solve_cache=False)
+        solve_step = augmentation._solve_with_retry
+        pairs = []
+
+        def checked(builder, config, **kwargs):
+            solution = solve_step(builder, config, **kwargs)
+            with mock.patch.dict(scipy_backend.HIGHS_PROFILE, clear=True):
+                default = solve(builder.model, backend="highs",
+                                **config.solver_options())
+            pairs.append((solution, default))
+            return solution
+
+        monkeypatch.setattr(augmentation, "_solve_with_retry", checked)
+        plan = Floorplanner(make(), config).run()
+        assert plan.is_legal
+        assert len(pairs) >= 2
+        for step, (solution, default) in enumerate(pairs):
+            assert solution.status is default.status is SolveStatus.OPTIMAL, \
+                (step, solution.status, default.status)
+            assert objectives_match(solution.objective, default.objective), \
+                (step, solution.objective, default.objective)
