@@ -47,7 +47,6 @@ import numpy as np
 from repro.milp.expr import Variable
 from repro.milp.model import Model, StandardForm
 from repro.milp.solution import DEFAULT_MIP_REL_GAP, Solution, SolveStatus
-from repro.milp.solvers.scipy_backend import highs_lp, linprog_rows
 from repro.milp.solvers.simplex import LpStatus, solve_lp_arrays
 from repro.milp.telemetry import SolveTelemetry
 
@@ -77,6 +76,8 @@ class _PersistentHighsEngine:
 
     def __init__(self, form: StandardForm) -> None:
         from scipy.optimize._highspy import _core as hcore
+
+        from repro.milp.solvers.scipy_backend import highs_lp
 
         self.form = form
         self.n_calls = 0
@@ -124,6 +125,8 @@ class _LinprogEngine:
     engine = "highs"
 
     def __init__(self, form: StandardForm) -> None:
+        from repro.milp.solvers.scipy_backend import linprog_rows
+
         self.form = form
         self.n_calls = 0
         self._linprog_kwargs = linprog_rows(form)
