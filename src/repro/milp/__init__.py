@@ -5,7 +5,9 @@ linear programming package.  This subpackage provides the equivalent: an
 algebraic modeling layer (:class:`~repro.milp.model.Model`,
 :class:`~repro.milp.expr.LinExpr`) plus interchangeable solver backends:
 
-* ``"highs"`` — HiGHS via :func:`scipy.optimize.milp` (fast default),
+* ``"highs"`` — HiGHS through SciPy's vendored bindings, one directly
+  configured instance per MIP (fast default; :func:`scipy.optimize.milp`
+  where those bindings are missing),
 * ``"bnb"``   — a from-scratch branch-and-bound over LP relaxations,
 * ``"simplex"`` — a pure-NumPy two-phase simplex (LP problems only; also the
   optional relaxation engine inside ``"bnb"``).
