@@ -175,7 +175,7 @@ def _solve_mip(form: StandardForm, options: dict[str, float]):
         h.setOptionValue("mip_max_nodes" if name == "node_limit" else name,
                          value)
     kind = core.HighsModelStatus
-    point: dict = {}
+    point = {"x": None, "mip_node_count": None, "mip_dual_bound": None}
     if h.passModel(highs_lp(core, form, integer=True)) \
             == core.HighsStatus.kError:
         status = kind.kModelError
@@ -202,9 +202,7 @@ def _solve_mip(form: StandardForm, options: dict[str, float]):
                     "primal_status is "
                     + h.solutionStatusToString(info.primal_solution_status))
     code, message = _highs_to_scipy_status_message(status, text)
-    return SimpleNamespace(**{"x": None, "mip_node_count": None,
-                              "mip_dual_bound": None, **point},
-                           status=code, message=message)
+    return SimpleNamespace(status=code, message=message, **point)
 
 
 def _round_sig(values: np.ndarray, digits: int = 12) -> np.ndarray:
