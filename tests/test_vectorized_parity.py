@@ -40,7 +40,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
+from scipy import optimize, sparse
 
 from repro.check.fuzz import _floorplan_shaped, generate_model
 from repro.core.config import FloorplanConfig
@@ -220,10 +220,11 @@ class TestLinprogFallbackParity:
 PROFILES = [{}, {"mip_heuristic_run_feasibility_jump": False}]
 
 
-def _without_highspy(profile: dict):
-    """Context managers under which ``scipy.optimize._highspy`` cannot be
-    imported and milp is handed ``profile`` on top of its options, as the
-    direct call is (the fallback itself runs HiGHS's defaults)."""
+def _direct_and_milp(profile: dict, call):
+    """``call()`` once on the direct HiGHS call under ``profile``, and once
+    where ``scipy.optimize._highspy`` cannot be imported and milp is handed
+    ``profile`` on top of its options (the fallback itself runs HiGHS's
+    defaults)."""
     real_milp = scipy_backend.optimize.milp
 
     def milp(*args, options, **kwargs):
@@ -233,20 +234,21 @@ def _without_highspy(profile: dict):
             return real_milp(*args, options={**options, **profile},
                              **kwargs)
 
-    return (mock.patch.dict(sys.modules, {"scipy.optimize._highspy": None}),
+    with mock.patch.dict(scipy_backend.HIGHS_PROFILE, profile, clear=True):
+        direct = call()
+    with mock.patch.dict(sys.modules, {"scipy.optimize._highspy": None}), \
             mock.patch.object(scipy_backend.optimize, "milp",
-                              side_effect=milp))
+                              side_effect=milp):
+        via_milp = call()
+    return direct, via_milp
 
 
 def _raw_pair(form, profile: dict, options: dict):
     """``_solve_mip`` direct and through milp: the same SciPy-style
     result."""
-    with mock.patch.dict(scipy_backend.HIGHS_PROFILE, profile, clear=True):
-        direct = scipy_backend._solve_mip(form, options)
-    no_bindings, patched_milp = _without_highspy(profile)
-    with no_bindings, patched_milp as fallback:
-        via_milp = scipy_backend._solve_mip(form, options)
-    assert fallback.called
+    direct, via_milp = _direct_and_milp(
+        profile, lambda: scipy_backend._solve_mip(form, options))
+    assert isinstance(via_milp, optimize.OptimizeResult)
     assert (direct.status, direct.message, direct.mip_node_count) == \
         (via_milp.status, via_milp.message, via_milp.mip_node_count)
     np.testing.assert_equal((direct.x, direct.mip_dual_bound),
@@ -256,13 +258,9 @@ def _raw_pair(form, profile: dict, options: dict):
 
 def _highs_pair(model: Model, profile: dict, **options):
     """``solve_highs`` direct and through milp: the same Solution."""
-    with mock.patch.dict(scipy_backend.HIGHS_PROFILE, profile, clear=True):
-        direct = scipy_backend.solve_highs(model, mip_rel_gap=1e-6,
-                                           **options)
-    no_bindings, patched_milp = _without_highspy(profile)
-    with no_bindings, patched_milp:
-        via_milp = scipy_backend.solve_highs(model, mip_rel_gap=1e-6,
-                                             **options)
+    direct, via_milp = _direct_and_milp(
+        profile, lambda: scipy_backend.solve_highs(model, mip_rel_gap=1e-6,
+                                                   **options))
     assert (direct.status, direct.n_nodes, direct.message,
             direct.backend) == (via_milp.status, via_milp.n_nodes,
                                 via_milp.message, via_milp.backend)
