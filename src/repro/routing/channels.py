@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from repro.core.placement import Placement
 from repro.geometry.rect import GEOM_EPS, Rect
 from repro.routing.adjust import peak_demand, routed_crossings
-from repro.routing.graph import ChannelGraph, _blocked_cells, _cuts
+from repro.routing.graph import ChannelGraph, _cuts, _free_cells
 from repro.routing.result import RoutingResult
 from repro.routing.technology import Technology
 
@@ -60,7 +60,7 @@ def extract_channels(placements: Sequence[Placement], chip: Rect,
     ys = _cuts([chip.y, chip.y2]
                + [c for p in placements for c in (p.rect.y, p.rect.y2)],
                chip.y, chip.y2)
-    blocked = _blocked_cells([p.rect for p in placements], xs, ys)
+    free = _free_cells([p.rect for p in placements], xs, ys).tolist()
     n_cols, n_rows = len(xs) - 1, len(ys) - 1
 
     channels: list[Channel] = []
@@ -69,9 +69,9 @@ def extract_channels(placements: Sequence[Placement], chip: Rect,
     for i in range(n_cols):
         j = 0
         while j < n_rows:
-            if (i, j) not in blocked:
+            if free[i][j]:
                 j0 = j
-                while j < n_rows and (i, j) not in blocked:
+                while j < n_rows and free[i][j]:
                     j += 1
                 rect = Rect(xs[i], ys[j0], xs[i + 1] - xs[i], ys[j] - ys[j0])
                 if rect.w > min_extent:
@@ -86,9 +86,9 @@ def extract_channels(placements: Sequence[Placement], chip: Rect,
     for j in range(n_rows):
         i = 0
         while i < n_cols:
-            if (i, j) not in blocked:
+            if free[i][j]:
                 i0 = i
-                while i < n_cols and (i, j) not in blocked:
+                while i < n_cols and free[i][j]:
                     i += 1
                 rect = Rect(xs[i0], ys[j], xs[i] - xs[i0], ys[j + 1] - ys[j])
                 if rect.h > min_extent:

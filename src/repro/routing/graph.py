@@ -12,9 +12,12 @@ boundary.  For over-the-cell technologies every cell is free.  A ring of
 routing space is added around the chip so nets can always detour around the
 module block (around-the-cell routing).
 
-The graph is held as plain lists over integer cell and edge ids: the
-router searches them, and plotting, channel extraction and the adjustment
-step look cells and edges up in them.
+The graph is built with NumPy from the cut arrays (the free-cell mask,
+the cell ids, the edge endpoints, lengths and capacities) and held as plain
+lists over integer cell and edge ids, plus the index arrays of the
+symmetric cell-by-cell matrix the router hands to SciPy's compiled
+Dijkstra.  Plotting, channel extraction and the adjustment step look cells
+and edges up in the lists.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.core.placement import Placement
 from repro.geometry.rect import GEOM_EPS, Rect
@@ -40,6 +45,11 @@ class ChannelGraph:
     Cell ids follow sorted ``(i, j)`` order, so ids compare like the cells
     they stand for.  Edge ids follow construction order: each cell's right
     edge, then its top edge.
+
+    The router searches the symmetric cell-by-cell matrix whose entries
+    ``[a, b]`` and ``[b, a]`` hold edge ``(a, b)``'s cost; ``indptr`` and
+    ``indices`` are its CSR structure (column ids sorted within each row)
+    and ``slots`` places each edge's two entries in its data array.
 
     Attributes:
         nodes: the ``(i, j)`` grid cell of each id.
@@ -58,6 +68,10 @@ class ChannelGraph:
         xs: sorted x cut coordinates.
         ys: sorted y cut coordinates.
         region: the routed region (chip plus routing ring).
+        indptr: CSR row pointers of the cell-by-cell matrix.
+        indices: CSR column ids of the cell-by-cell matrix.
+        slots: per edge id, the data positions of its two matrix entries,
+            as a ``(2, edges)`` array.
     """
 
     nodes: list[Node]
@@ -72,6 +86,9 @@ class ChannelGraph:
     xs: list[float]
     ys: list[float]
     region: Rect
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
 
     def cell_rect(self, node: Node) -> Rect:
         """Geometry of a cell node."""
@@ -221,68 +238,113 @@ def build_channel_graph(placements: Sequence[Placement], chip: Rect,
 
     blockers = [] if not technology.needs_channel_area \
         else [p.rect for p in placements]
-    blocked = _blocked_cells(blockers, xs, ys)
+    free = _free_cells(blockers, xs, ys)
 
-    nodes: list[Node] = []
-    rects: list[Rect] = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            if (i, j) not in blocked:
-                nodes.append((i, j))
-                rects.append(Rect(xs[i], ys[j], xs[i + 1] - xs[i],
-                                  ys[j + 1] - ys[j]))
+    # Cell ids in (i, j) order; widths and heights as Rect stores them.
+    cell_i, cell_j = np.nonzero(free)
+    nodes: list[Node] = list(zip(cell_i.tolist(), cell_j.tolist()))
     ids = {node: k for k, node in enumerate(nodes)}
+    widths = [b - a for a, b in zip(xs, xs[1:])]
+    heights = [b - a for a, b in zip(ys, ys[1:])]
+    rects = [Rect(xs[i], ys[j], widths[i], heights[j]) for i, j in nodes]
 
     # Each cell joins its right neighbour (a vertical boundary, crossed by
     # horizontal wires), then its top one (a horizontal boundary, crossed
-    # by vertical wires).  The router's tie-breaks follow this edge and
-    # adjacency order, and total_overflow sums in edge order.
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    ends: list[tuple[Node, Node]] = []
-    length: list[float] = []
-    capacity: list[float] = []
-    orientation: list[str] = []
-    for a, (i, j) in enumerate(nodes):
-        cell = rects[a]
-        for v, tracks, kind in (
-                ((i + 1, j), cell.h / technology.pitch_h, "v"),
-                ((i, j + 1), cell.w / technology.pitch_v, "h")):
-            b = ids.get(v)
-            if b is None:
-                continue
-            adjacency[a].append((b, len(ends)))
-            adjacency[b].append((a, len(ends)))
-            ends.append((nodes[a], v))
-            length.append(_dist(cell.center, rects[b].center))
-            capacity.append(tracks)
-            orientation.append(kind)
-    return ChannelGraph(nodes=nodes, ids=ids, rects=rects,
-                        adjacency=adjacency, ends=ends, length=length,
-                        capacity=capacity, orientation=orientation,
-                        usage=[0.0] * len(ends), xs=xs, ys=ys, region=region)
+    # by vertical wires): the nonzero (cell id, right 0 / top 1) pairs, in
+    # row-major order, are the edges in id order.  The router's tie-breaks
+    # follow this edge and adjacency order, and total_overflow sums in
+    # edge order.
+    cell_id = np.full(free.shape, -1)
+    cell_id[cell_i, cell_j] = np.arange(len(nodes))
+    joins_right = np.zeros_like(free)
+    joins_right[:-1] = free[:-1] & free[1:]
+    joins_top = np.zeros_like(free)
+    joins_top[:, :-1] = free[:, :-1] & free[:, 1:]
+    first, top = np.nonzero(np.column_stack(
+        (joins_right[cell_i, cell_j], joins_top[cell_i, cell_j])))
+    i_a, j_a = cell_i[first], cell_j[first]
+    i_b, j_b = i_a + 1 - top, j_a + top
+    second = cell_id[i_b, j_b]
+
+    # Rect's float expressions: a centre is x + w / 2.0, a length the
+    # Manhattan distance between centres (wires are rectilinear), a
+    # capacity the shared side over the pitch.
+    x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    w, h = x[1:] - x[:-1], y[1:] - y[:-1]
+    cx, cy = x[:-1] + w / 2.0, y[:-1] + h / 2.0
+    length = np.abs(cx[i_a] - cx[i_b]) + np.abs(cy[j_a] - cy[j_b])
+    capacity = np.where(top, w[i_a] / technology.pitch_v,
+                        h[j_a] / technology.pitch_h)
+
+    adjacency, indptr, indices, slots = _neighbours(len(nodes), first,
+                                                    second, top)
+    first_ids, second_ids = first.tolist(), second.tolist()
+    return ChannelGraph(
+        nodes=nodes, ids=ids, rects=rects, adjacency=adjacency,
+        ends=[(nodes[a], nodes[b]) for a, b in zip(first_ids, second_ids)],
+        length=length.tolist(), capacity=capacity.tolist(),
+        orientation=["h" if t else "v" for t in top.tolist()],
+        usage=[0.0] * len(first_ids), xs=xs, ys=ys, region=region,
+        indptr=indptr, indices=indices, slots=slots)
 
 
-def _blocked_cells(blockers: Sequence[Rect], xs: list[float],
-                   ys: list[float]) -> set[Node]:
-    """Grid cells whose interior some blocker overlaps.
+def _free_cells(blockers: Sequence[Rect], xs: list[float],
+                ys: list[float]) -> np.ndarray:
+    """Per grid cell ``(i, j)``, whether no blocker overlaps its interior.
 
-    Each blocker is tested, through :meth:`Rect.overlaps`, only against the
-    cells in its bisect index range widened by one cell on each side; cells
-    beyond it end before the blocker starts (or start after it ends).
+    This is :meth:`Rect.overlaps` factored by axis: a blocker overlaps a
+    cell exactly when it overlaps the cell's column on x and its row on y.
+    So every cell meets every blocker through one comparison per blocker
+    and column, one per blocker and row, and a boolean matrix product.
     """
-    n_cols, n_rows = len(xs) - 1, len(ys) - 1
-    blocked: set[Node] = set()
-    for b in blockers:
-        i_lo = max(bisect.bisect_right(xs, b.x) - 2, 0)
-        i_hi = min(bisect.bisect_left(xs, b.x2) + 1, n_cols)
-        j_lo = max(bisect.bisect_right(ys, b.y) - 2, 0)
-        j_hi = min(bisect.bisect_left(ys, b.y2) + 1, n_rows)
-        for i in range(i_lo, i_hi):
-            for j in range(j_lo, j_hi):
-                cell = Rect(xs[i], ys[j], xs[i + 1] - xs[i], ys[j + 1] - ys[j])
-                if b.overlaps(cell):
-                    blocked.add((i, j))
-    return blocked
+    if not blockers:
+        return np.ones((len(xs) - 1, len(ys) - 1), dtype=bool)
+    columns = _overlapping([b.x for b in blockers], [b.x2 for b in blockers],
+                           xs)
+    rows = _overlapping([b.y for b in blockers], [b.y2 for b in blockers], ys)
+    return ~(columns.T @ rows)
+
+
+def _overlapping(lo: list[float], hi: list[float],
+                 cuts: list[float]) -> np.ndarray:
+    """Per blocker span ``(lo, hi)`` and grid interval, whether they share
+    interior on this axis, as :meth:`Rect.overlaps` tests it (an interval
+    ends at ``cut + (next cut - cut)``, as a cell's ``x2`` does)."""
+    points = np.array(cuts, dtype=float)
+    start = points[:-1]
+    end = start + (points[1:] - start)
+    lo_col, hi_col = np.array(lo)[:, None], np.array(hi)[:, None]
+    return (lo_col < end - GEOM_EPS) & (start < hi_col - GEOM_EPS)
+
+
+def _neighbours(n: int, first: np.ndarray, second: np.ndarray,
+                top: np.ndarray) -> tuple[list[list[tuple[int, int]]],
+                                          np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's neighbours, from the edges' cell ids ``first`` (left or
+    bottom) and ``second``, with ``top`` 1 for vertical neighbours.
+
+    Returns the ``adjacency`` lists (left, bottom, right, top), and the
+    ``indptr``, ``indices`` and ``slots`` of the symmetric cell-by-cell
+    matrix with the same entries.
+    """
+    n_edges = len(first)
+    rows = np.concatenate((first, second))
+    columns = np.concatenate((second, first))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    # A cell is the second cell of its left and bottom edges, the first of
+    # its right and top ones.
+    side = np.concatenate((2 + top, top))
+    by_side = np.lexsort((side, rows))
+    edge = np.tile(np.arange(n_edges), 2)
+    pairs = list(zip(columns[by_side].tolist(), edge[by_side].tolist()))
+    bounds = indptr.tolist()
+    adjacency = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    by_column = np.lexsort((columns, rows))
+    position = np.empty(2 * n_edges, dtype=np.intp)
+    position[by_column] = np.arange(2 * n_edges)
+    return (adjacency, indptr, columns[by_column].astype(np.int32),
+            position.reshape(2, n_edges))
 
 
 def _cuts(values: Iterable[float], lo: float, hi: float,
@@ -311,7 +373,3 @@ def _subdivide(cuts: list[float], max_size: float) -> list[float]:
         refined.append(b)
     return refined
 
-
-def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Manhattan distance between cell centers (wires are rectilinear)."""
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
