@@ -124,6 +124,11 @@ def solve_highs(model: Model, *, time_limit: float | None = None,
     if node_limit is not None:
         options["node_limit"] = int(node_limit)
     result = _solve_mip(form, options)
+    if result.status == 4 and result.x is not None:
+        # milp gives a point only at optimality or at a limit with an
+        # incumbent, so this is a limit stop: SciPy's status map does not
+        # know kSolutionLimit, where HiGHS stops on mip_max_nodes.
+        result.status = 1
     if result.status == 4:
         # Some HiGHS builds report "Solve error" on numerically touchy
         # instances; rounding every coefficient to 12 significant digits

@@ -291,12 +291,26 @@ class TestMilpFallbackParity:
 
     @pytest.mark.parametrize("profile", PROFILES, ids=["default", "fj-off"])
     def test_node_limit_stop(self, profile):
+        """A node-limit stop that left an incumbent is FEASIBLE at HiGHS's
+        incumbent on both paths, with no rounded retry and no bnb
+        fallback, although SciPy's status map reads it as status 4."""
         model = _window_model(6, 0)
-        raw = _raw_pair(model.to_standard_form(), profile,
+        form = model.to_standard_form()
+        raw = _raw_pair(form, profile,
                         {"mip_rel_gap": 1e-6, "node_limit": 3})
         assert "Solution limit reached" in raw.message
+        assert raw.status == 4
         assert raw.mip_node_count == 3 and raw.x is not None
-        _highs_pair(model, profile, node_limit=3)
+        with mock.patch.object(scipy_backend, "_round_sig_sparse",
+                               side_effect=AssertionError("rounded retry")):
+            solution = _highs_pair(model, profile, node_limit=3)
+        assert solution.status is SolveStatus.FEASIBLE
+        assert solution.backend == "highs" and solution.n_nodes == 3
+        assert "fallback" not in solution.message
+        assert [solution.values[v] for v in form.variables] == \
+            raw.x.tolist()
+        assert solution.objective == float(form.c @ raw.x) + form.c0
+        assert solution.bound < solution.objective
 
     @pytest.mark.parametrize("profile", PROFILES, ids=["default", "fj-off"])
     def test_infeasible_mip(self, profile):
