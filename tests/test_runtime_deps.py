@@ -6,6 +6,11 @@ references use, are in the ``dev`` extra.  A subprocess that cannot import
 any dev-only package imports every ``repro`` module and drives the routing
 flow, channel extraction, the channel router, SVG rendering and the
 critical-chain report end to end.
+
+A second subprocess checks that ``import repro`` stays light: the router
+imports ``scipy.sparse.csgraph`` on its first route and the HiGHS backend
+imports ``scipy.optimize`` on its first solve, so neither is paid by a
+process that only imports the package.
 """
 
 from __future__ import annotations
@@ -88,3 +93,17 @@ def test_runs_without_dev_dependencies():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().endswith("ok")
+
+
+#: Modules ``import repro`` must not load; each is imported where first used.
+LAZY = ("scipy.sparse.csgraph", "scipy.optimize")
+
+
+def test_import_leaves_lazy_modules_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = ("import sys\nimport repro\n"
+              f"print([m for m in {LAZY!r} if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
