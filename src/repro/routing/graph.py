@@ -54,7 +54,6 @@ class ChannelGraph:
     Attributes:
         nodes: the ``(i, j)`` grid cell of each id.
         ids: the id of each free cell.
-        rects: per cell id, the cell's rectangle.
         adjacency: per cell id, ``(neighbour id, edge id)`` pairs in the
             order the edges were added: left, bottom, right, top.
         ends: per edge id, its cell pair (smaller cell first).
@@ -76,7 +75,6 @@ class ChannelGraph:
 
     nodes: list[Node]
     ids: dict[Node, int]
-    rects: list[Rect]
     adjacency: list[list[tuple[int, int]]]
     ends: list[tuple[Node, Node]]
     length: list[float]
@@ -91,8 +89,15 @@ class ChannelGraph:
     slots: np.ndarray
 
     def cell_rect(self, node: Node) -> Rect:
-        """Geometry of a cell node."""
-        return self.rects[self.ids[node]]
+        """Geometry of a cell node, from the cut coordinates."""
+        i, j = node
+        xs, ys = self.xs, self.ys
+        return Rect(xs[i], ys[j], xs[i + 1] - xs[i], ys[j + 1] - ys[j])
+
+    @property
+    def rects(self) -> list[Rect]:
+        """Per cell id, the cell's rectangle."""
+        return [self.cell_rect(node) for node in self.nodes]
 
     def edge_id(self, u: Node, v: Node) -> int | None:
         """The id of the edge joining cells ``u`` and ``v``, or None when
@@ -240,13 +245,10 @@ def build_channel_graph(placements: Sequence[Placement], chip: Rect,
         else [p.rect for p in placements]
     free = _free_cells(blockers, xs, ys)
 
-    # Cell ids in (i, j) order; widths and heights as Rect stores them.
+    # Cell ids in (i, j) order.
     cell_i, cell_j = np.nonzero(free)
     nodes: list[Node] = list(zip(cell_i.tolist(), cell_j.tolist()))
     ids = {node: k for k, node in enumerate(nodes)}
-    widths = [b - a for a, b in zip(xs, xs[1:])]
-    heights = [b - a for a, b in zip(ys, ys[1:])]
-    rects = [Rect(xs[i], ys[j], widths[i], heights[j]) for i, j in nodes]
 
     # Each cell joins its right neighbour (a vertical boundary, crossed by
     # horizontal wires), then its top one (a horizontal boundary, crossed
@@ -280,7 +282,7 @@ def build_channel_graph(placements: Sequence[Placement], chip: Rect,
                                                     second, top)
     first_ids, second_ids = first.tolist(), second.tolist()
     return ChannelGraph(
-        nodes=nodes, ids=ids, rects=rects, adjacency=adjacency,
+        nodes=nodes, ids=ids, adjacency=adjacency,
         ends=[(nodes[a], nodes[b]) for a, b in zip(first_ids, second_ids)],
         length=length.tolist(), capacity=capacity.tolist(),
         orientation=["h" if t else "v" for t in top.tolist()],
