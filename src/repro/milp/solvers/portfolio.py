@@ -55,9 +55,8 @@ def solve_portfolio(model: Model, *, time_limit: float | None = None,
             ``"simplex"`` (default) keeps that racer fully self-contained.
         form: a precomputed standard form of ``model`` (e.g. the reduced
             form from presolve); derived from ``model`` when omitted.
-        warm_start: a claimed-feasible assignment seeded into the
-            branch-and-bound racer as its initial incumbent (HiGHS via
-            SciPy exposes no warm-start API).
+        warm_start: a claimed-feasible assignment seeded into both
+            racers as their initial incumbent.
 
     Returns:
         The winning engine's solution, with ``backend`` rewritten to
@@ -69,7 +68,8 @@ def solve_portfolio(model: Model, *, time_limit: float | None = None,
 
     def run_highs() -> Solution:
         return solve_highs(model, time_limit=time_limit,
-                           mip_rel_gap=mip_rel_gap, form=form)
+                           mip_rel_gap=mip_rel_gap, form=form,
+                           warm_start=warm_start)
 
     def run_bnb() -> Solution:
         return solve_bnb(model, time_limit=time_limit,
