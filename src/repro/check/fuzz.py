@@ -2,15 +2,16 @@
 
 With four independent solving paths (HiGHS via SciPy, the from-scratch
 branch-and-bound, the pure-NumPy simplex, the LP-free difference-logic
-``smt`` search) plus a racing portfolio, subtle disagreements are the
-expected failure mode — exactly what Huchette et al. observe across
-floor-layout formulation variants.  This harness generates seeded random
-instances (pure LPs, boxed random MILPs, and floorplan-shaped subproblems
-straight from :class:`SubproblemBuilder`), runs every applicable backend on
-the identical model — each raw and, where the registry presolves for it,
-through the presolve layer too (``"<backend>+presolve"``) — cross-checks
-the claims, and greedily shrinks any disagreement to a minimal JSON
-reproducer.
+``smt`` search), subtle disagreements are the expected failure mode —
+exactly what Huchette et al. observe across floor-layout formulation
+variants.  This harness generates seeded random instances (pure LPs, boxed
+random MILPs, and floorplan-shaped subproblems straight from
+:class:`SubproblemBuilder`), runs every applicable backend on the identical
+model — the branch-and-bound once over each LP engine (``"bnb"`` over
+HiGHS, ``"bnb[simplex]"`` over the NumPy simplex), each variant raw and,
+where the registry presolves for it, through the presolve layer too
+(``"<variant>+presolve"``) — cross-checks the claims, and greedily shrinks
+any disagreement to a minimal JSON reproducer.
 
 With the formulation axis on (the default), every floorplan-shaped case is
 generated *twice from the same random state* — once per registered
@@ -258,15 +259,28 @@ def backends_for(model: Model,
     return tuple(out)
 
 
+def _solvers(backends: Sequence[str]) -> list[tuple[str, str, str | None]]:
+    """``(label, backend, lp_engine)`` of each solver run on ``backends``:
+    every backend under its own name, and bnb once more over the NumPy
+    simplex as ``"bnb[simplex]"`` (its default LP engine is HiGHS's)."""
+    out: list[tuple[str, str, str | None]] = []
+    for name in backends:
+        out.append((name, name, None))
+        if name == "bnb":
+            out.append(("bnb[simplex]", name, "simplex"))
+    return out
+
+
 def _variant_plan(model: Model, backends: Sequence[str] | None,
-                  presolve_axis: bool) -> list[tuple[str, str, bool]]:
-    """The (label, backend, presolve) variants for ``model``: a presolved
-    variant only for backends the registry presolves for."""
-    plan: list[tuple[str, str, bool]] = []
-    for name in backends_for(model, backends):
-        plan.append((name, name, False))
+                  presolve_axis: bool
+                  ) -> list[tuple[str, str, bool, str | None]]:
+    """The (label, backend, presolve, lp_engine) variants for ``model``: a
+    presolved variant only for backends the registry presolves for."""
+    plan: list[tuple[str, str, bool, str | None]] = []
+    for label, name, lp_engine in _solvers(backends_for(model, backends)):
+        plan.append((label, name, False, lp_engine))
         if presolve_axis and solve_inputs(name, True)[0]:
-            plan.append((f"{name}+presolve", name, True))
+            plan.append((f"{label}+presolve", name, True, lp_engine))
     return plan
 
 
@@ -293,23 +307,24 @@ def run_differential_batch(models: Sequence[Model], *,
     """
     model_list = list(models)
     plans = [_variant_plan(m, backends, presolve_axis) for m in model_list]
-    groups: dict[tuple[str, str, bool], list[int]] = {}
+    groups: dict[tuple[str, str, bool, str | None], list[int]] = {}
     for i, plan in enumerate(plans):
         for spec in plan:
             groups.setdefault(spec, []).append(i)
     solved: dict[tuple[int, str], Solution] = {}
-    for (label, name, use_presolve), idxs in groups.items():
+    for (label, name, use_presolve, lp_engine), idxs in groups.items():
+        options = {} if lp_engine is None else {"lp_engine": lp_engine}
         batch = solve_many([model_list[i] for i in idxs], backend=name,
                            presolve=use_presolve, time_limit=time_limit,
                            mip_rel_gap=FUZZ_GAP, workers=workers,
-                           on_error="capture")
+                           on_error="capture", **options)
         for i, sol in zip(idxs, batch):
             solved[(i, label)] = sol
     out: list[tuple[dict[str, Solution], list[Disagreement]]] = []
     for i, (model, plan) in enumerate(zip(model_list, plans)):
         results: dict[str, Solution] = {}
         disagreements: list[Disagreement] = []
-        for label, _name, _presolve in plan:
+        for label, *_ in plan:
             sol = solved[(i, label)]
             results[label] = sol
             if sol.status is SolveStatus.ERROR \
@@ -328,10 +343,11 @@ def run_differential(model: Model, *, backends: Sequence[str] | None = None,
                      ) -> tuple[dict[str, Solution], list[Disagreement]]:
     """Run every applicable backend on ``model`` and cross-check the claims.
 
-    With ``presolve_axis`` (the default) every backend the registry
+    bnb runs once per LP engine (``"bnb"``, ``"bnb[simplex]"``).  With
+    ``presolve_axis`` (the default) every variant of a backend the registry
     presolves for is run twice — raw and through the
     :mod:`repro.milp.presolve` layer (reported under the
-    ``"<backend>+presolve"`` key) — so presolve bugs that cut the optimum or
+    ``"<variant>+presolve"`` key) — so presolve bugs that cut the optimum or
     corrupt the postsolve mapping surface as cross-variant disagreements on
     the identical model.
 
@@ -623,9 +639,8 @@ def fuzz(n: int = 25, seed: int = 0, *,
     are also cross-checked on the subforms incremental re-floorplanning
     produces.
     """
-    report = FuzzReport(seed=seed, n_cases=n,
-                        backends=tuple(backends) if backends
-                        else available_backends())
+    report = FuzzReport(seed=seed, n_cases=n, backends=tuple(
+        label for label, _, _ in _solvers(backends or available_backends())))
     inconclusive = {SolveStatus.LIMIT, SolveStatus.TIMEOUT, SolveStatus.ERROR}
     case_seeds = [seed * 1_000_003 + i for i in range(n)]
     cases = [generate_case(random.Random(s),

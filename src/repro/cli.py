@@ -115,10 +115,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-limit", type=float, default=30.0,
                         help="per-subproblem MILP time limit (seconds)")
     parser.add_argument("--backend", default="highs",
-                        choices=["highs", "bnb", "portfolio", "smt"],
-                        help="MILP backend (portfolio races highs vs the "
-                             "self-contained branch-and-bound; smt is the "
-                             "LP-free difference-logic solver for rigid "
+                        choices=["highs", "bnb", "smt"],
+                        help="MILP backend (bnb is the self-contained "
+                             "branch-and-bound; smt is the LP-free "
+                             "difference-logic solver for rigid "
                              "area/perimeter instances)")
     parser.add_argument("--formulation", default=DEFAULT_FORMULATION,
                         choices=list(FORMULATIONS),
@@ -129,7 +129,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "fewer branch-and-bound nodes)")
     parser.add_argument("--no-presolve", action="store_true",
                         help="skip the formulation's dominated-binary "
-                             "fixing and, on bnb/portfolio/simplex/smt, the "
+                             "fixing and, on bnb/simplex/smt, the "
                              "solver-independent MILP presolve layer (bound "
                              "tightening, big-M reduction, symmetry "
                              "breaking; HiGHS always presolves itself)")
@@ -573,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     # smt is deliberately absent: a server default must accept any job,
     # and the difference-logic backend rejects flexible/wirelength models.
     p_sv.add_argument("--backend", default="highs",
-                      choices=["highs", "bnb", "portfolio"],
+                      choices=["highs", "bnb"],
                       help="default MILP backend for jobs")
     p_sv.add_argument("--formulation", default=DEFAULT_FORMULATION,
                       choices=list(FORMULATIONS),

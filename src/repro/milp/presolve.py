@@ -6,8 +6,8 @@ dramatically under standard reductions, and the SMT floorplanners (Banerjee
 et al.) win by pruning relative-position disjunctions before search.  This
 module applies the generic share of those reductions to *any* standard form;
 the registry runs it for the backends that gain from it (the from-scratch
-branch-and-bound, the NumPy simplex, the racing portfolio, the smt search)
-and leaves HiGHS to its own presolve:
+branch-and-bound, the NumPy simplex, the smt search) and leaves HiGHS to
+its own presolve:
 
 * **bound propagation** — worklist-driven activity propagation tightens
   variable boxes (e.g. ``x_i + w_i <= W`` turns ``ub(x_i) = W`` into

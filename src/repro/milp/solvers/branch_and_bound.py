@@ -11,8 +11,6 @@ plus branching.  Features:
 * relative-gap, node-count, and wall-clock limits — a wall-clock stop is
   reported as the distinct :attr:`~repro.milp.solution.SolveStatus.TIMEOUT`
   status carrying the best incumbent and the proven gap;
-* cooperative cancellation via a :class:`threading.Event`, so a portfolio
-  race can stop the losing solve;
 * a :class:`~repro.milp.telemetry.SolveTelemetry` record (LP calls, nodes,
   incumbent trace, final gap) attached to every solution.
 
@@ -38,7 +36,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import threading
 import time
 from typing import Mapping
 
@@ -336,7 +333,6 @@ def solve_bnb(model: Model, *, time_limit: float | None = None,
               mip_rel_gap: float = DEFAULT_MIP_REL_GAP,
               node_limit: int = 200_000,
               lp_engine: str = "highs", int_tol: float = INT_TOL,
-              stop: threading.Event | None = None,
               form: StandardForm | None = None,
               warm_start: Mapping[Variable, float] | None = None) -> Solution:
     """Solve ``model`` with the from-scratch branch-and-bound.
@@ -353,11 +349,9 @@ def solve_bnb(model: Model, *, time_limit: float | None = None,
             persistent HiGHS instance re-run over changed column bounds) or
             ``"simplex"`` for the pure-NumPy relaxation solver.
         int_tol: integrality tolerance for rounding/branching decisions.
-        stop: optional cancellation event checked once per node — set by a
-            racing portfolio when another engine already won.
-        form: a precomputed standard form of ``model`` (shared by portfolio
-            racers, or the reduced form from presolve); derived from
-            ``model`` when omitted.
+        form: a precomputed standard form of ``model`` (the registry's
+            cache key shares it, or the reduced form from presolve); derived
+            from ``model`` when omitted.
         warm_start: a claimed-feasible assignment covering every variable of
             ``form``.  Validated (bounds, integrality, rows) and, if it
             holds up, installed as the initial incumbent — an immediate
@@ -419,14 +413,10 @@ def solve_bnb(model: Model, *, time_limit: float | None = None,
     n_nodes = 1
     best_bound = objective
     timed_out = False
-    cancelled = False
 
     while len(frontier):
         if time_limit is not None and time.perf_counter() - start > time_limit:
             timed_out = True
-            break
-        if stop is not None and stop.is_set():
-            cancelled = True
             break
         if n_nodes >= node_limit:
             break
@@ -476,15 +466,13 @@ def solve_bnb(model: Model, *, time_limit: float | None = None,
     if incumbent_x is None:
         final = SolveStatus.LIMIT if hit_limit else SolveStatus.INFEASIBLE
         return _finish(model, form, final, None, math.nan, best_bound,
-                       n_nodes, start, engine, telemetry,
-                       message="cancelled" if cancelled else "")
+                       n_nodes, start, engine, telemetry)
     if hit_limit:
         final = SolveStatus.TIMEOUT if timed_out else SolveStatus.FEASIBLE
     else:
         final = SolveStatus.OPTIMAL
     return _finish(model, form, final, incumbent_x, incumbent_obj, best_bound,
-                   n_nodes, start, engine, telemetry,
-                   message="cancelled" if cancelled else "")
+                   n_nodes, start, engine, telemetry)
 
 
 def _select_branch(x: np.ndarray, int_cols: np.ndarray,
@@ -556,7 +544,7 @@ def _rounding_heuristic(engine, form: StandardForm, x: np.ndarray,
 def _finish(model: Model, form: StandardForm, status: SolveStatus,
             x: np.ndarray | None, objective: float, bound: float,
             n_nodes: int, start: float, engine,
-            telemetry: SolveTelemetry, message: str = "") -> Solution:
+            telemetry: SolveTelemetry) -> Solution:
     elapsed = time.perf_counter() - start
     values: dict = {}
     reported_obj = math.nan
@@ -591,4 +579,4 @@ def _finish(model: Model, form: StandardForm, status: SolveStatus,
     return Solution(status=status, objective=reported_obj, values=values,
                     bound=reported_bound, n_nodes=n_nodes,
                     solve_seconds=elapsed, backend=f"bnb[{engine.engine}]",
-                    message=message, telemetry=telemetry)
+                    telemetry=telemetry)

@@ -1,8 +1,8 @@
 """Backend registry: dispatch ``solve(model, backend=...)``.
 
 The registry is also where the optional presolve layer lives: with
-``presolve=True`` and a backend that gains from it (bnb, portfolio,
-simplex, smt; HiGHS presolves every model itself) the model's standard form
+``presolve=True`` and a backend that gains from it (bnb, simplex, smt;
+HiGHS presolves every model itself) the model's standard form
 is reduced once (bound propagation, big-M tightening, fixed-column
 elimination, symmetry rows, warm-start objective cutoff) and the *reduced*
 form is handed to the backend; the returned solution is postsolved back to
@@ -13,7 +13,7 @@ reads a warm start.
 
 It is also the single choke point for the canonical solve cache
 (:mod:`repro.milp.cache`): with ``cache=...`` every backend — bnb, simplex,
-highs, portfolio — checks the cache before solving and stores
+highs, smt — checks the cache before solving and stores
 proven-optimal results after.  A hit is served only after it re-certifies
 against the requesting model's raw standard form; a hit that fails
 certification is evicted and the model is re-solved.
@@ -53,12 +53,6 @@ def _solve_simplex(model: Model, **options) -> Solution:
     return solve_simplex(model, **options)
 
 
-def _solve_portfolio(model: Model, **options) -> Solution:
-    from repro.milp.solvers.portfolio import solve_portfolio
-
-    return solve_portfolio(model, **options)
-
-
 def _solve_smt(model: Model, **options) -> Solution:
     from repro.milp.solvers.smt_dl import solve_smt
 
@@ -69,7 +63,6 @@ _BACKENDS: dict[str, Callable[..., Solution]] = {
     "highs": _solve_highs,
     "bnb": _solve_bnb,
     "simplex": _solve_simplex,
-    "portfolio": _solve_portfolio,
     "smt": _solve_smt,
 }
 
@@ -78,17 +71,13 @@ _BACKENDS: dict[str, Callable[..., Solution]] = {
 #: (:func:`~repro.milp.solvers.scipy_backend.reads_start`).  Simplex solves
 #: LPs from scratch; for simplex a warm start still powers presolve's
 #: objective cutoff.
-_WARM_START_BACKENDS = frozenset({"bnb", "highs", "portfolio", "smt"})
+_WARM_START_BACKENDS = frozenset({"bnb", "highs", "smt"})
 
 #: Backends the registry presolves for: the from-scratch solvers see the
 #: reduced, coefficient-tightened rows verbatim (bnb explores 2-3.4x fewer
 #: nodes; the smt backend's interval propagation prunes harder too).  HiGHS
 #: presolves every model itself, so ours would only cost time.
-_PRESOLVE_BACKENDS = frozenset({"bnb", "portfolio", "simplex", "smt"})
-
-#: Backends that run :func:`~repro.milp.solvers.scipy_backend.solve_highs`:
-#: their cache keys carry its effective HiGHS option profile.
-_HIGHS_BACKENDS = frozenset({"highs", "portfolio"})
+_PRESOLVE_BACKENDS = frozenset({"bnb", "simplex", "smt"})
 
 
 def available_backends() -> tuple[str, ...]:
@@ -198,10 +187,8 @@ def solve(model: Model, backend: str = "highs", *,
         model: the model to solve.
         backend: one of :func:`available_backends` — ``"highs"`` (HiGHS via
             SciPy; the default), ``"bnb"`` (from-scratch branch-and-bound),
-            ``"simplex"`` (pure-NumPy simplex; LPs only), ``"portfolio"``
-            (race HiGHS against the self-contained branch-and-bound and
-            keep the first proven-optimal result), or ``"smt"`` (the LP-free
-            difference-logic case-split solver of
+            ``"simplex"`` (pure-NumPy simplex; LPs only), or ``"smt"`` (the
+            LP-free difference-logic case-split solver of
             :mod:`repro.milp.solvers.smt_dl`; rejects models outside its
             fragment).
         presolve: run the solver-independent presolve layer
@@ -226,10 +213,9 @@ def solve(model: Model, backend: str = "highs", *,
             being served (see :mod:`repro.milp.cache`).  The key folds in
             ``backend``, whether presolve runs, whether a warm start is
             offered (a callable counts), the ``mip_rel_gap`` / ``int_tol``
-            tolerances,
-            ``context`` and, for the backends that run HiGHS's MIP solver,
-            its effective option profile, so configurations that could
-            return different optimal vertices never share an entry.
+            tolerances, ``context`` and, for ``"highs"``, its effective MIP
+            option profile, so configurations that could return different
+            optimal vertices never share an entry.
         form: a precomputed ``model.to_standard_form()``; batching callers
             (:func:`solve_many`) pass it so canonicalization and cache-key
             hashing happen once per instance, not once per variant.
@@ -296,7 +282,7 @@ def _lookup(cache: "SolveCache", model: Model, form: StandardForm,
     items = (backend, bool(presolve), warm_started,
              cache_mod._q(mip_rel_gap), cache_mod._q(int_tol),
              *context.key_items())
-    if backend in _HIGHS_BACKENDS:
+    if backend == "highs":
         from repro.milp.solvers.scipy_backend import highs_profile
 
         # HiGHS's defaults add no entry, so their keys are the ones

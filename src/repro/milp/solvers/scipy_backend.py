@@ -110,9 +110,9 @@ def solve_highs(model: Model, *, time_limit: float | None = None,
         time_limit: wall-clock limit in seconds (None = unlimited).
         mip_rel_gap: relative MIP gap at which to stop.
         node_limit: branch-and-bound node limit (None = unlimited).
-        form: a precomputed standard form of ``model`` (shared by portfolio
-            racers, or the reduced form from presolve); derived from
-            ``model`` when omitted.
+        form: a precomputed standard form of ``model`` (the registry's
+            cache key shares it, or the reduced form from presolve); derived
+            from ``model`` when omitted.
         warm_start: an incumbent for the MIP, one value per column of
             ``form``, handed to ``_Highs.setSolution`` before the solve; a
             start that misses a column is not.  HiGHS checks the start

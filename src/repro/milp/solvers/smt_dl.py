@@ -46,7 +46,6 @@ incumbent.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from typing import Mapping
 
@@ -229,7 +228,6 @@ def solve_smt(model: Model, *, time_limit: float | None = None,
               mip_rel_gap: float = DEFAULT_MIP_REL_GAP,
               node_limit: int | None = None,
               int_tol: float = INT_TOL,
-              stop: threading.Event | None = None,
               form: StandardForm | None = None,
               warm_start: Mapping[Variable, float] | None = None) -> Solution:
     """Solve ``model`` by difference-logic case-split search.
@@ -243,7 +241,6 @@ def solve_smt(model: Model, *, time_limit: float | None = None,
             exactly, so a completed run is gap-0 optimal regardless.
         node_limit: case-split node limit (``FEASIBLE``/``LIMIT`` on hit).
         int_tol: integrality tolerance for warm-start vetting and rounding.
-        stop: cooperative cancellation event, checked once per node.
         form: precomputed standard form (shared by batching callers).
         warm_start: claimed-feasible assignment; vetted, then installed as
             the initial incumbent so the objective cut prunes from node one.
@@ -307,16 +304,12 @@ def solve_smt(model: Model, *, time_limit: float | None = None,
     n_nodes = 0
     open_bound = math.inf  # min objective floor over aborted subtrees
     timed_out = False
-    cancelled = False
     hit_node_limit = False
 
     while stack:
         if time_limit is not None and \
                 time.perf_counter() - start > time_limit:
             timed_out = True
-            break
-        if stop is not None and stop.is_set():
-            cancelled = True
             break
         if node_limit is not None and n_nodes >= node_limit:
             hit_node_limit = True
@@ -359,28 +352,27 @@ def solve_smt(model: Model, *, time_limit: float | None = None,
             stack.append((lo_lb, lo_ub, _objective_floor(c, lo_lb, lo_ub)))
             stack.append((hi_lb, hi_ub, _objective_floor(c, hi_lb, hi_ub)))
 
-    aborted = timed_out or cancelled or hit_node_limit
+    aborted = timed_out or hit_node_limit
     if aborted and stack:
         open_bound = min(floor for (_lb, _ub, floor) in stack)
-    message = "cancelled" if cancelled else ""
     if incumbent_x is None:
         if aborted:
             return _finish(form, SolveStatus.LIMIT, None, math.nan,
-                           open_bound, n_nodes, start, telemetry, message)
+                           open_bound, n_nodes, start, telemetry)
         return _finish(form, SolveStatus.INFEASIBLE, None, math.nan,
-                       math.inf, n_nodes, start, telemetry, message)
+                       math.inf, n_nodes, start, telemetry)
     if aborted:
         bound = min(open_bound, incumbent_obj)
         status = SolveStatus.TIMEOUT if timed_out else SolveStatus.FEASIBLE
         return _finish(form, status, incumbent_x, incumbent_obj, bound,
-                       n_nodes, start, telemetry, message)
+                       n_nodes, start, telemetry)
     return _finish(form, SolveStatus.OPTIMAL, incumbent_x, incumbent_obj,
-                   incumbent_obj, n_nodes, start, telemetry, message)
+                   incumbent_obj, n_nodes, start, telemetry)
 
 
 def _finish(form: StandardForm, status: SolveStatus, x: np.ndarray | None,
             objective: float, bound: float, n_nodes: int, start: float,
-            telemetry: SolveTelemetry, message: str = "") -> Solution:
+            telemetry: SolveTelemetry) -> Solution:
     """Assemble the Solution, mapping internal-minimize values back to the
     model's own sense (mirrors the branch-and-bound's epilogue without
     sharing its code)."""
@@ -413,5 +405,4 @@ def _finish(form: StandardForm, status: SolveStatus, x: np.ndarray | None,
         telemetry.gap = math.inf
     return Solution(status=status, objective=reported_obj, values=values,
                     bound=reported_bound, n_nodes=n_nodes,
-                    solve_seconds=elapsed, backend="smt", message=message,
-                    telemetry=telemetry)
+                    solve_seconds=elapsed, backend="smt", telemetry=telemetry)

@@ -1,12 +1,12 @@
 """Structured per-solve statistics.
 
 Solver choice and instance structure interact unpredictably (strong
-formulations, mixed-variable solvers, and racing portfolios all behave
-differently per instance), so instead of guessing, every backend records a
-:class:`SolveTelemetry` on its :class:`~repro.milp.solution.Solution`.  The
-augmentation loop threads these records through the floorplan trace, and
-``repro-floorplan telemetry`` / the CI benchmark jobs emit them as JSON so
-perf regressions are machine-diffable.
+formulations and mixed-variable solvers behave differently per instance),
+so instead of guessing, every backend records a :class:`SolveTelemetry` on
+its :class:`~repro.milp.solution.Solution`.  The augmentation loop threads
+these records through the floorplan trace, and ``repro-floorplan
+telemetry`` / the CI benchmark jobs emit them as JSON so perf regressions
+are machine-diffable.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class SolveTelemetry:
 
     Attributes:
         backend: name of the backend that produced the solve
-            (``"highs"``, ``"bnb[simplex]"``, ``"portfolio[highs]"``, ...).
+            (``"highs"``, ``"bnb[highs]"``, ``"bnb[simplex]"``, ...).
         status: final :class:`~repro.milp.solution.SolveStatus` value.
         lp_calls: LP relaxations solved (1 for a pure LP; HiGHS does not
             report its internal count, so the MILP path records 0).

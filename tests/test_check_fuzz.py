@@ -128,15 +128,18 @@ class TestRunDifferential:
 
     def test_variant_labels(self):
         """Each applicable backend runs raw, and through presolve where the
-        registry presolves for it (not HiGHS, which presolves itself) — no
-        other variant axis (simplex is LP-only, so an integer model skips
-        it)."""
+        registry presolves for it (not HiGHS, which presolves itself); bnb
+        runs once per LP engine.  No other variant axis (simplex is
+        LP-only, so an integer model skips it)."""
         results, disagreements = run_differential(tiny_milp(),
                                                   time_limit=10.0)
         assert not disagreements
         assert sorted(results) == [
-            "bnb", "bnb+presolve", "highs",
-            "portfolio", "portfolio+presolve", "smt", "smt+presolve"]
+            "bnb", "bnb+presolve", "bnb[simplex]", "bnb[simplex]+presolve",
+            "highs", "smt", "smt+presolve"]
+        assert results["bnb"].backend == "bnb[highs]"
+        assert results["bnb[simplex]"].backend == "bnb[simplex]"
+        assert results["bnb[simplex]+presolve"].backend == "bnb[simplex]"
 
 
 class TestCompareResults:
@@ -250,6 +253,8 @@ class TestFuzzHarness:
                       artifact_dir=tmp_path)
         assert report.ok, report.to_dict()
         assert report.n_cases == 4
+        assert report.backends == ("highs", "bnb", "bnb[simplex]",
+                                   "simplex", "smt")
         assert not list(tmp_path.iterdir())  # no reproducers written
 
     def test_report_is_json_safe(self):

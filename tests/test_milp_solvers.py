@@ -40,7 +40,7 @@ def _knapsack() -> tuple[Model, list]:
 class TestRegistry:
     def test_backends_listed(self):
         assert set(available_backends()) == {"highs", "bnb", "simplex",
-                                             "portfolio", "smt"}
+                                             "smt"}
 
     def test_unknown_backend_rejected(self):
         m, _ = _lp_model()
@@ -197,64 +197,6 @@ class TestMilp:
             s = solve(m, backend="highs")
         assert s.status is SolveStatus.OPTIMAL
         assert s.backend == "highs"
-
-
-class TestPortfolio:
-    """The racing backend must agree with each engine run alone."""
-
-    def test_lp_agrees_with_single_engines(self):
-        m, v = _lp_model()
-        s = solve(m, backend="portfolio")
-        assert s.status is SolveStatus.OPTIMAL
-        assert s.objective == pytest.approx(
-            solve(_lp_model()[0], backend="highs").objective)
-        assert s.objective == pytest.approx(
-            solve(_lp_model()[0], backend="bnb").objective)
-        assert s[v["x"]] == pytest.approx(4.0)
-
-    def test_knapsack_agrees_with_single_engines(self):
-        m, xs = _knapsack()
-        s = solve(m, backend="portfolio")
-        assert s.status is SolveStatus.OPTIMAL
-        assert s.objective == pytest.approx(13.0)
-        assert [s.rounded(x) for x in xs] == [1, 0, 0, 1]
-        for backend in MILP_BACKENDS:
-            alone = solve(_knapsack()[0], backend=backend)
-            assert s.objective == pytest.approx(alone.objective)
-
-    def test_winner_is_branded(self):
-        m, _ = _knapsack()
-        s = solve(m, backend="portfolio")
-        assert s.backend.startswith("portfolio[")
-        assert s.telemetry is not None
-        assert s.telemetry.backend == s.backend
-
-    def test_infeasible_detected(self):
-        m = Model()
-        z = m.add_binary("z")
-        m.add_constraint(z >= 0.4)
-        m.add_constraint(z <= 0.6)
-        m.set_objective(z)
-        s = solve(m, backend="portfolio")
-        assert s.status is SolveStatus.INFEASIBLE
-
-    def test_disjunctive_big_m(self):
-        m = Model()
-        x1 = m.add_continuous("x1", ub=10)
-        x2 = m.add_continuous("x2", ub=10)
-        p = m.add_binary("p")
-        big = 20.0
-        m.add_constraint(x1 + 4 <= x2 + big * p)
-        m.add_constraint(x2 + 4 <= x1 + big * (1 - p))
-        m.add_constraint(x1 + 4 <= 10)
-        m.add_constraint(x2 + 4 <= 10)
-        span = m.add_continuous("span", ub=20)
-        m.add_constraint(span >= x1 + 4)
-        m.add_constraint(span >= x2 + 4)
-        m.set_objective(span)
-        s = solve(m, backend="portfolio")
-        assert s.status is SolveStatus.OPTIMAL
-        assert s.objective == pytest.approx(8.0)
 
 
 class TestSolutionObject:

@@ -39,9 +39,10 @@ OBJ_TOL = 1e-6
 #: Gap passed to the solvers so OPTIMAL claims are tight enough to compare.
 GAP = 1e-6
 
-#: Backends the registry presolves for (it leaves HiGHS to its own
-#: presolve, so a HiGHS solve with ``presolve=True`` checks nothing here).
-BACKENDS = ("bnb", "portfolio")
+#: The branch-and-bound over each of its LP engines, by the fuzzer's
+#: labels.  The registry presolves for bnb; it leaves HiGHS to its own
+#: presolve, so a HiGHS solve with ``presolve=True`` checks nothing here.
+BNB_ENGINES = {"bnb": "highs", "bnb[simplex]": "simplex"}
 
 
 def objectives_match(a: float, b: float, tol: float = OBJ_TOL) -> bool:
@@ -129,12 +130,15 @@ FIXTURES = {
 # ---------------------------------------------------------------------------
 
 class TestFixtureParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("variant", BNB_ENGINES)
     @pytest.mark.parametrize("name", sorted(FIXTURES))
-    def test_same_optimum_with_and_without_presolve(self, name, backend):
+    def test_same_optimum_with_and_without_presolve(self, name, variant):
         model = FIXTURES[name]()
-        raw = solve(model, backend=backend, mip_rel_gap=GAP, presolve=False)
-        pre = solve(model, backend=backend, mip_rel_gap=GAP, presolve=True)
+        engine = BNB_ENGINES[variant]
+        raw = solve(model, backend="bnb", lp_engine=engine, mip_rel_gap=GAP,
+                    presolve=False)
+        pre = solve(model, backend="bnb", lp_engine=engine, mip_rel_gap=GAP,
+                    presolve=True)
         assert raw.status is SolveStatus.OPTIMAL
         assert pre.status is SolveStatus.OPTIMAL
         assert objectives_match(raw.objective, pre.objective), \
@@ -142,11 +146,12 @@ class TestFixtureParity:
         certify(model, raw)
         certify(model, pre)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_infeasible_parity(self, backend):
+    @pytest.mark.parametrize("variant", BNB_ENGINES)
+    def test_infeasible_parity(self, variant):
         model = infeasible_box()
-        raw = solve(model, backend=backend, presolve=False)
-        pre = solve(model, backend=backend, presolve=True)
+        engine = BNB_ENGINES[variant]
+        raw = solve(model, backend="bnb", lp_engine=engine, presolve=False)
+        pre = solve(model, backend="bnb", lp_engine=engine, presolve=True)
         assert raw.status is SolveStatus.INFEASIBLE
         assert pre.status is SolveStatus.INFEASIBLE
 
@@ -174,15 +179,16 @@ class TestFuzzInstanceParity:
 
 
 class TestFloorplanSubproblemParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_builder_model_with_symmetry_groups(self, backend):
+    @pytest.mark.parametrize("variant", BNB_ENGINES)
+    def test_builder_model_with_symmetry_groups(self, variant):
         builder = floorplan_builder()
         groups = builder.symmetry_groups()
         assert groups, "identical modules must form a symmetry group"
-        raw = solve(builder.model, backend=backend, mip_rel_gap=GAP,
-                    presolve=False)
-        pre = solve(builder.model, backend=backend, mip_rel_gap=GAP,
-                    presolve=True, symmetry_groups=groups)
+        engine = BNB_ENGINES[variant]
+        raw = solve(builder.model, backend="bnb", lp_engine=engine,
+                    mip_rel_gap=GAP, presolve=False)
+        pre = solve(builder.model, backend="bnb", lp_engine=engine,
+                    mip_rel_gap=GAP, presolve=True, symmetry_groups=groups)
         assert raw.status is SolveStatus.OPTIMAL
         assert pre.status is SolveStatus.OPTIMAL
         assert objectives_match(raw.objective, pre.objective), \

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 
 import pytest
 
@@ -32,7 +31,6 @@ from repro.milp.solution import SolveStatus
 from repro.milp.solvers.registry import solve
 from repro.milp.solvers.smt_dl import (
     UnsupportedModelError,
-    solve_smt,
     supports_model,
     unsupported_reason,
 )
@@ -177,14 +175,6 @@ class TestSolveBehavior:
         got = solve(builder.model, backend="smt", node_limit=1)
         assert got.status in (SolveStatus.LIMIT, SolveStatus.FEASIBLE)
         assert got.telemetry.nodes <= 1
-
-    def test_cancellation(self):
-        builder = _rigid_builder()
-        stop = threading.Event()
-        stop.set()
-        got = solve_smt(builder.model, stop=stop)
-        assert got.status is SolveStatus.LIMIT
-        assert got.message == "cancelled"
 
     def test_bound_on_abort_is_valid(self):
         """An aborted run's dual bound must not cut off the true optimum."""

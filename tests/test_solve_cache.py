@@ -200,7 +200,7 @@ class TestRegistryIntegration:
         other = solve(model, backend="bnb", cache=cache)
         assert other.telemetry.cache["hit"] is False
 
-    @pytest.mark.parametrize("backend", ["highs", "bnb", "portfolio"])
+    @pytest.mark.parametrize("backend", ["highs", "bnb"])
     def test_a_solve_naming_no_gap_is_keyed_at_the_default_gap(self,
                                                                 backend):
         """A solve that passes no ``mip_rel_gap`` runs at the backend's
@@ -493,11 +493,10 @@ class TestHighsProfileKey:
         assert self._keys_under({"no_such_highs_option": 1}, "highs", keys) \
             == self._keys_under({}, "highs", keys)
 
-    @pytest.mark.parametrize("backend", ["highs", "portfolio"])
-    def test_a_profile_option_splits_the_key(self, backend, keys):
+    def test_a_profile_option_splits_the_key(self, keys):
         fj_off = {"mip_heuristic_run_feasibility_jump": False}
-        assert self._keys_under(fj_off, backend, keys) \
-            != self._keys_under({}, backend, keys)
+        assert self._keys_under(fj_off, "highs", keys) \
+            != self._keys_under({}, "highs", keys)
 
     def test_backends_without_highs_mip_ignore_the_profile(self, keys):
         fj_off = {"mip_heuristic_run_feasibility_jump": False}

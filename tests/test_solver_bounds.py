@@ -11,6 +11,7 @@ and survives early LIMIT/TIMEOUT stops.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
@@ -18,7 +19,6 @@ import pytest
 from repro.milp.model import Model
 from repro.milp.solution import SolveStatus
 from repro.milp.solvers.branch_and_bound import solve_bnb
-from repro.milp.solvers.portfolio import solve_portfolio
 from repro.milp.solvers.scipy_backend import solve_highs
 
 
@@ -79,8 +79,10 @@ class TestLpBounds:
 
 
 class TestMilpBounds:
-    @pytest.mark.parametrize("solver", [solve_highs, solve_bnb,
-                                        solve_portfolio])
+    @pytest.mark.parametrize("solver", [
+        solve_highs, solve_bnb,
+        pytest.param(functools.partial(solve_bnb, lp_engine="simplex"),
+                     id="solve_bnb_simplex")])
     def test_optimal_bound_on_correct_side(self, solver):
         sol = solver(fractional_milp())
         assert sol.status is SolveStatus.OPTIMAL

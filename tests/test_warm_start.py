@@ -207,16 +207,18 @@ class TestNodeReduction:
         assert warm.chip_height <= cold.chip_height + 1e-6, \
             (warm.chip_height, cold.chip_height)
 
-    def test_portfolio_accepts_warm_start(self):
-        config = _config(backend="portfolio")
+    def test_bnb_simplex_accepts_warm_start(self):
+        config = _config(backend="bnb", lp_engine="simplex")
         window = [Module.rigid("a", 3.0, 2.0, rotatable=True),
                   Module.rigid("b", 2.0, 2.0, rotatable=True)]
         builder = SubproblemBuilder(window, [], 12.0, config)
         warm = builder.warm_start_stacked()
-        sol = solve(builder.model, backend="portfolio", presolve=True,
+        sol = solve(builder.model, backend="bnb", presolve=True,
                     warm_start=warm,
-                    symmetry_groups=builder.symmetry_groups())
+                    symmetry_groups=builder.symmetry_groups(),
+                    **config.solver_options())
         assert sol.status is SolveStatus.OPTIMAL
+        assert sol.backend == "bnb[simplex]"
 
 
 # ---------------------------------------------------------------------------
