@@ -476,10 +476,7 @@ def _cover_partial_floorplan(placed: list[Placement], chip_width: float,
         polygon = CoveringPolygon(skyline, n_modules=len(placed))
     if not config.use_covering_rectangles:
         return env_rects, polygon
-    obstacles = covering_rectangles(polygon.skyline,
-                                    style=config.covering_style,
-                                    merge_overlapping=config.merge_covering)
-    return obstacles, polygon
+    return covering_rectangles(polygon.skyline), polygon
 
 
 def _solve_with_retry(builder: SubproblemBuilder, config: FloorplanConfig,

@@ -1,8 +1,8 @@
 """High-level floorplanning facade.
 
 :class:`Floorplanner` runs the full analytical flow — successive
-augmentation, then (optionally) the section-2.5 LP for compaction and
-legalization — and returns a :class:`Floorplan` with geometry and metrics.
+augmentation, then the section-2.5 LP for compaction and legalization —
+and returns a :class:`Floorplan` with geometry and metrics.
 """
 
 from __future__ import annotations
@@ -175,63 +175,44 @@ class Floorplanner:
         self.height_cap = height_cap
 
     def run(self) -> Floorplan:
-        """Run successive augmentation (+ optional LP compaction) and return
-        the floorplan."""
+        """Run successive augmentation, then the section-2.5 LP that
+        compacts the plan and legalizes it (tangent-linearized flexible
+        modules may overlap until it runs), and return the floorplan."""
         start = time.perf_counter()
         result = run_augmentation(self.netlist, self.config,
                                   preplaced=self.preplaced,
                                   on_step=self.on_step,
                                   height_cap=self.height_cap)
-        placements = result.placements
-        chip_width = result.chip_width
-        chip_height = result.chip_height
+        relations = derive_relations(result.placements)
+        cache = None
+        if self.config.solve_cache:
+            from repro.milp.cache import get_cache
 
-        needs_legalization = (
-            self.config.linearization is Linearization.TANGENT
-            and self.netlist.n_flexible > 0)
-        if self.config.legalize or needs_legalization:
-            relations = derive_relations(placements)
-            # Flexible modules may resize during legalization (that is the
-            # section-2.5 formulation's purpose); if the tangent overlaps
-            # forced relations that cannot fit the fixed width, retry with
-            # the cap released — a slightly wider legal chip beats an
-            # illegal one.
-            resize = self.netlist.n_flexible > 0
-            pinned = frozenset(self.preplaced)
-            cache = None
-            if self.config.solve_cache:
-                from repro.milp.cache import get_cache
-
-                cache = get_cache(self.config.cache_dir)
-            try:
-                topo = optimize_topology(
-                    placements, relations,
-                    max_chip_width=chip_width,
-                    resize_flexible=resize,
-                    fixed_names=pinned,
-                    linearization=Linearization.SECANT,
-                    backend="highs",
-                    cache=cache)
-            except RuntimeError:
-                topo = optimize_topology(
-                    placements, relations,
-                    max_chip_width=None,
-                    resize_flexible=resize,
-                    fixed_names=pinned,
-                    linearization=Linearization.SECANT,
-                    backend="highs",
-                    cache=cache)
-            placements = topo.placements
-            chip_width = max(topo.chip_width, GEOM_EPS)
-            chip_height = topo.chip_height
+            cache = get_cache(self.config.cache_dir)
+        # Flexible modules may resize during legalization (that is the
+        # section-2.5 formulation's purpose); if the tangent overlaps
+        # forced relations that cannot fit the fixed width, retry with
+        # the cap released — a slightly wider legal chip beats an
+        # illegal one.
+        options = dict(resize_flexible=self.netlist.n_flexible > 0,
+                       fixed_names=frozenset(self.preplaced),
+                       linearization=Linearization.SECANT, backend="highs",
+                       cache=cache)
+        try:
+            topo = optimize_topology(result.placements, relations,
+                                     max_chip_width=result.chip_width,
+                                     **options)
+        except RuntimeError:
+            topo = optimize_topology(result.placements, relations,
+                                     max_chip_width=None, **options)
 
         elapsed = time.perf_counter() - start
         plan = Floorplan(
             netlist=self.netlist,
             config=self.config,
-            placements={p.name: p for p in placements},
-            chip_width=chip_width,
-            chip_height=chip_height,
+            placements={p.name: p for p in topo.placements},
+            chip_width=max(topo.chip_width, GEOM_EPS),
+            chip_height=topo.chip_height,
             trace=result.trace,
             elapsed_seconds=elapsed,
         )

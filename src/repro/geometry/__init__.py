@@ -14,7 +14,6 @@ from repro.geometry.polygon import CoveringPolygon, HorizontalEdge
 from repro.geometry.covering import (
     covering_rectangles,
     horizontal_cut_decomposition,
-    vertical_step_decomposition,
     merge_covering_rectangles,
 )
 
@@ -28,6 +27,5 @@ __all__ = [
     "HorizontalEdge",
     "covering_rectangles",
     "horizontal_cut_decomposition",
-    "vertical_step_decomposition",
     "merge_covering_rectangles",
 ]

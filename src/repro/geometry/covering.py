@@ -7,35 +7,31 @@ edge-cut lines from the bottom up (Figure 4c/4d); Theorem 2 shows the cut
 count is at most ``n - 1`` where ``n`` is the polygon's horizontal edge count,
 and the corollary gives ``N* <= N``.
 
-Three decompositions are provided:
+:func:`covering_rectangles` composes two steps:
 
 * :func:`horizontal_cut_decomposition` — the paper's Figure-4 algorithm,
   generalized to skylines with valleys (each slab may then contribute more
   than one rectangle; for the paper's staircase polygons the Theorem-2 bound
   holds and is asserted in tests).
-* :func:`vertical_step_decomposition` — one full-height rectangle per skyline
-  run; trivially at most one rectangle per run.
 * :func:`merge_covering_rectangles` — the paper's closing remark that a set of
   *overlapping* partitions can reduce the count further: every covering
   rectangle is extended down to the chip bottom (still inside the polygon),
   after which rectangles contained in others are dropped.
 
-All three operate on the skyline's breakpoint/height arrays directly: run
-extraction, containment screening, and the per-slab maximal-run scan are
-numpy mask operations rather than per-step python loops (see the vectorized
-parity suite).
+Both operate on the skyline's breakpoint/height arrays directly: the
+per-slab maximal-run scan and the containment screening are numpy mask
+operations rather than per-step python loops (see the vectorized parity
+suite).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from typing import Iterable
 
 import numpy as np
 
 from repro.geometry.rect import GEOM_EPS, Rect
 from repro.geometry.skyline import Skyline
-
-DecompositionStyle = Literal["horizontal", "vertical"]
 
 
 def horizontal_cut_decomposition(skyline: Skyline, eps: float = GEOM_EPS) -> list[Rect]:
@@ -66,17 +62,6 @@ def horizontal_cut_decomposition(skyline: Skyline, eps: float = GEOM_EPS) -> lis
             rects.append(Rect(float(x[a]), prev, float(x[b] - x[a]), h - prev))
         prev = h
     return rects
-
-
-def vertical_step_decomposition(skyline: Skyline, eps: float = GEOM_EPS) -> list[Rect]:
-    """One full-height rectangle per skyline run with positive height."""
-    x = skyline.breakpoints
-    h = skyline.heights
-    keep = np.flatnonzero(h > eps)
-    return [
-        Rect(float(x[i]), 0.0, float(x[i + 1] - x[i]), float(h[i]))
-        for i in keep
-    ]
 
 
 def merge_covering_rectangles(rects: Iterable[Rect], eps: float = GEOM_EPS) -> list[Rect]:
@@ -117,10 +102,10 @@ def merge_covering_rectangles(rects: Iterable[Rect], eps: float = GEOM_EPS) -> l
 
 def covering_rectangles(placed: Iterable[Rect] | Skyline,
                         x_min: float | None = None,
-                        x_max: float | None = None,
-                        style: DecompositionStyle = "horizontal",
-                        merge_overlapping: bool = True) -> list[Rect]:
-    """Covering rectangles for a placed module set (section 3.1 entry point).
+                        x_max: float | None = None) -> list[Rect]:
+    """Covering rectangles for a placed module set (section 3.1 entry point):
+    the horizontal edge-cut decomposition of the placed set's skyline,
+    reduced by :func:`merge_covering_rectangles`.
 
     Args:
         placed: the fixed modules of the partial floorplan, or their
@@ -130,9 +115,6 @@ def covering_rectangles(placed: Iterable[Rect] | Skyline,
             modules' extent.  Pass the chip span so that side notches are
             represented faithfully.  A skyline argument carries its own span
             and ignores these.
-        style: ``"horizontal"`` for the paper's edge-cut decomposition,
-            ``"vertical"`` for the per-run variant.
-        merge_overlapping: apply :func:`merge_covering_rectangles` afterwards.
 
     Returns:
         Fixed rectangles whose union contains every placed module and is
@@ -145,12 +127,4 @@ def covering_rectangles(placed: Iterable[Rect] | Skyline,
         if not placed_list:
             return []
         sky = Skyline.from_rects(placed_list, x_min=x_min, x_max=x_max)
-    if style == "horizontal":
-        rects = horizontal_cut_decomposition(sky)
-    elif style == "vertical":
-        rects = vertical_step_decomposition(sky)
-    else:
-        raise ValueError(f"unknown decomposition style {style!r}")
-    if merge_overlapping:
-        rects = merge_covering_rectangles(rects)
-    return rects
+    return merge_covering_rectangles(horizontal_cut_decomposition(sky))

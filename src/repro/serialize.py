@@ -247,13 +247,17 @@ _WRITTEN_WHEN_SET = ("formulation", "outline", "outline_aspect",
 _CONFIG_DEFAULTS = {f.name: f.default
                     for f in dataclasses.fields(FloorplanConfig)
                     if f.name in _WRITTEN_WHEN_SET}
+#: Retired config fields that older documents carry, each with the one
+#: behaviour that remains.  Loading drops a retired field at that value
+#: and refuses any other, which no longer runs.
+_RETIRED_FIELDS = {"chip_aspect": 1.0, "covering_style": "horizontal",
+                   "merge_covering": True, "legalize": True}
 
 
 def _config_to_dict(config: FloorplanConfig) -> dict[str, Any]:
     out = {
         "chip_width": config.chip_width,
         "whitespace_factor": config.whitespace_factor,
-        "chip_aspect": config.chip_aspect,
         "seed_size": config.seed_size,
         "group_size": config.group_size,
         "objective": config.objective.value,
@@ -270,9 +274,6 @@ def _config_to_dict(config: FloorplanConfig) -> dict[str, Any]:
             "style": config.technology.style.value,
         },
         "use_covering_rectangles": config.use_covering_rectangles,
-        "covering_style": config.covering_style,
-        "merge_covering": config.merge_covering,
-        "legalize": config.legalize,
         "backend": config.backend,
         "subproblem_time_limit": config.subproblem_time_limit,
         "mip_rel_gap": config.mip_rel_gap,
@@ -291,6 +292,10 @@ def _config_to_dict(config: FloorplanConfig) -> dict[str, Any]:
 
 def _config_from_dict(data: dict[str, Any]) -> FloorplanConfig:
     fields = dict(data)
+    for name, kept in _RETIRED_FIELDS.items():
+        if name in fields and fields.pop(name) != kept:
+            raise ValueError(f"config field {name!r} is retired; only "
+                             f"{kept!r} is supported, got {data[name]!r}")
     tech = fields.pop("technology")
     fields["technology"] = Technology(pitch_h=tech["pitch_h"],
                                       pitch_v=tech["pitch_v"],

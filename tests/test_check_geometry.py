@@ -20,7 +20,10 @@ from repro.check import (
 from repro.core.config import FloorplanConfig
 from repro.core.floorplanner import Floorplanner
 from repro.core.placement import Placement
-from repro.geometry.covering import covering_rectangles
+from repro.geometry.covering import (
+    covering_rectangles,
+    horizontal_cut_decomposition,
+)
 from repro.geometry.polygon import CoveringPolygon
 from repro.geometry.rect import Rect
 from repro.geometry.skyline import Skyline
@@ -214,8 +217,7 @@ class TestCoveringTheoremProperties:
         polygon = CoveringPolygon.from_rects(placed, x_min=0.0, x_max=30.0)
         if polygon.skyline.has_valley():
             return
-        cover = covering_rectangles(placed, x_min=0.0, x_max=30.0,
-                                    merge_overlapping=False)
+        cover = horizontal_cut_decomposition(polygon.skyline)
         assert len(cover) <= max(1, polygon.n_horizontal_edges() - 1)
 
     @given(bottom_up_placements())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.augmentation import run_augmentation
 from repro.core.config import FloorplanConfig, Linearization
 from repro.core.floorplanner import Floorplan, Floorplanner, floorplan
 from repro.core.placement import Placement
@@ -53,20 +54,22 @@ class TestFloorplanner:
         assert "utilization" in text
 
     def test_legalization_compaction_never_hurts(self, tiny_netlist):
-        loose = FloorplanConfig(seed_size=2, group_size=1, legalize=False)
-        tight = FloorplanConfig(seed_size=2, group_size=1, legalize=True)
-        plan_loose = floorplan(tiny_netlist, loose)
-        plan_tight = floorplan(tiny_netlist, tight)
-        assert plan_tight.chip_area <= plan_loose.chip_area + 1e-6
+        """The final LP never grows the raw augmentation plan."""
+        config = FloorplanConfig(seed_size=2, group_size=1)
+        raw = run_augmentation(tiny_netlist, config)
+        plan = floorplan(tiny_netlist, config)
+        assert plan.chip_area <= raw.chip_width * raw.chip_height + 1e-6
 
     def test_tangent_linearization_forces_legalization(self):
-        """Tangent mode can produce tiny overlaps; the facade must fix
-        them even with legalize=False."""
+        """Tangent mode can produce tiny overlaps in the raw augmentation
+        plan; the facade's final LP must fix them."""
         nl = random_netlist(6, seed=4, flexible_fraction=0.6)
-        cfg = FloorplanConfig(seed_size=3, group_size=2, legalize=False,
+        cfg = FloorplanConfig(seed_size=3, group_size=2,
                               linearization=Linearization.TANGENT)
+        raw = run_augmentation(nl, cfg)
         plan = floorplan(nl, cfg)
         assert plan.is_legal
+        assert {p.name for p in raw.placements} == set(plan.placements)
 
     def test_flexible_areas_preserved_end_to_end(self, mixed_netlist,
                                                  fast_config):

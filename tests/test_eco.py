@@ -416,6 +416,32 @@ class TestServiceParity:
             })
             assert code == 400
             assert "unknown delta fields" in err["error"]["message"]
+            # A retired config field at a value that no longer runs.
+            baseline_doc = floorplan_to_dict(baseline)
+            baseline_doc["config"]["legalize"] = False
+            code, err = client.submit({"kind": "eco",
+                                       "baseline": baseline_doc,
+                                       "delta": {"removed": ["a"]}})
+            assert code == 400
+            assert "invalid baseline document" in err["error"]["message"]
+            assert "legalize" in err["error"]["message"]
+
+    def test_eco_job_on_a_baseline_with_retired_config_fields(self):
+        """Saved plans carry four retired config fields; at the one value
+        that still runs, the baseline loads."""
+        baseline_doc = json.loads(json.dumps(floorplan_to_dict(
+            Floorplanner(_netlist(), _config()).run())))
+        baseline_doc["config"].update(
+            chip_aspect=1.0, covering_style="horizontal",
+            merge_covering=True, legalize=True)
+        with running_service() as (_service, client):
+            code, doc = client.submit({"kind": "eco",
+                                       "baseline": baseline_doc,
+                                       "delta": {"removed": ["a"]}})
+            assert code == 202
+            code, res = client.result(doc["job_id"], wait=120.0)
+        assert code == 200
+        assert res["result"]["kind"] == "eco"
 
     def test_noop_eco_job_round_trips_baseline_bytes(self, tmp_path):
         """A served no-op delta returns the baseline document unchanged —

@@ -76,7 +76,7 @@ class TestConfigPlumbing:
         assert config.resolved_chip_width(45.0, widest_module=4.0) == 8.0
 
     def test_derived_outline_honors_whitespace_target(self):
-        config = FloorplanConfig(whitespace_target=0.2, chip_aspect=1.0)
+        config = FloorplanConfig(whitespace_target=0.2)
         outline = config.resolved_outline(80.0)
         assert outline is not None
         width, height = outline

@@ -7,7 +7,6 @@ from repro.geometry.covering import (
     covering_rectangles,
     horizontal_cut_decomposition,
     merge_covering_rectangles,
-    vertical_step_decomposition,
 )
 from repro.geometry.polygon import CoveringPolygon
 from repro.geometry.rect import Rect
@@ -82,22 +81,6 @@ class TestHorizontalCutDecomposition:
         assert horizontal_cut_decomposition(Skyline(0, 10)) == []
 
 
-class TestVerticalStepDecomposition:
-    def test_one_rect_per_step(self):
-        sky = Skyline.from_rects(
-            [Rect(0, 0, 3, 6), Rect(3, 0, 3, 4), Rect(6, 0, 3, 2)])
-        rects = vertical_step_decomposition(sky)
-        assert len(rects) == 3
-        assert all(r.y == 0.0 for r in rects)
-        assert sum(r.area for r in rects) == pytest.approx(sky.area_under())
-
-    def test_zero_height_steps_skipped(self):
-        sky = Skyline.from_rects([Rect(2, 0, 2, 3)], x_min=0, x_max=10)
-        rects = vertical_step_decomposition(sky)
-        assert len(rects) == 1
-        assert rects[0] == Rect(2, 0, 2, 3)
-
-
 class TestMergeCoveringRectangles:
     def test_extension_to_floor(self):
         merged = merge_covering_rectangles([Rect(0, 2, 4, 2)])
@@ -136,21 +119,12 @@ class TestCoveringRectanglesEntryPoint:
         cover = covering_rectangles(placed, x_min=0, x_max=6)
         assert len(cover) <= len(placed)
 
-    def test_vertical_style(self):
-        cover = covering_rectangles(self._placed(), x_min=0, x_max=6,
-                                    style="vertical", merge_overlapping=False)
-        assert all(r.y == 0.0 for r in cover)
-
-    def test_unknown_style_rejected(self):
-        with pytest.raises(ValueError):
-            covering_rectangles(self._placed(), style="diagonal")
-
     def test_empty_input(self):
         assert covering_rectangles([]) == []
 
     def test_merge_reduces_or_keeps_count(self):
         placed = [Rect(0, 0, 2, 6), Rect(2, 0, 2, 4), Rect(4, 0, 2, 2),
                   Rect(6, 0, 2, 7)]
-        plain = covering_rectangles(placed, merge_overlapping=False)
-        merged = covering_rectangles(placed, merge_overlapping=True)
+        plain = horizontal_cut_decomposition(Skyline.from_rects(placed))
+        merged = covering_rectangles(placed)
         assert len(merged) <= len(plain)

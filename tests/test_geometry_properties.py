@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.geometry.covering import (
     covering_rectangles,
     horizontal_cut_decomposition,
-    vertical_step_decomposition,
 )
 from repro.geometry.rect import Rect
 from repro.geometry.skyline import Skyline
@@ -131,13 +130,6 @@ class TestCoveringProperties:
         for i in range(len(cover)):
             for j in range(i + 1, len(cover)):
                 assert not cover[i].overlaps(cover[j])
-
-    @given(st.lists(rects(), min_size=1, max_size=10))
-    @settings(max_examples=60)
-    def test_vertical_decomposition_is_exact_cover(self, rect_list):
-        sky = Skyline.from_rects(rect_list)
-        cover = vertical_step_decomposition(sky)
-        assert abs(sum(r.area for r in cover) - sky.area_under()) < 1e-6
 
     @given(bottom_up_placements())
     @settings(max_examples=60)

@@ -114,15 +114,13 @@ def reference_next_group(netlist, placed, candidates, group_size):
     return [candidates[i] for i in chosen]
 
 
-def reference_cover(placed, chip_width, config):
+def reference_cover(placed, chip_width):
     """One step's obstacles and polygon edge count, built from every placed
     envelope."""
     env_rects = [p.envelope for p in placed]
     polygon = CoveringPolygon.from_rects(env_rects, x_min=0.0,
                                          x_max=chip_width)
-    obstacles = covering_rectangles(env_rects, x_min=0.0, x_max=chip_width,
-                                    style=config.covering_style,
-                                    merge_overlapping=config.merge_covering)
+    obstacles = covering_rectangles(env_rects, x_min=0.0, x_max=chip_width)
     return obstacles, polygon.n_horizontal_edges()
 
 
@@ -306,22 +304,17 @@ class TestCoveringParity:
         assert len(calls) == len(steps)
         for step, obstacles in zip(steps, calls):
             placed = result.placements[:step.n_placed_before]
-            expected, edges = reference_cover(placed, result.chip_width,
-                                              config)
+            expected, edges = reference_cover(placed, result.chip_width)
             assert obstacles == expected
             assert step.n_obstacles == len(expected)
             assert step.n_polygon_edges == edges
         return result
 
     @given(st.integers(min_value=4, max_value=9),
-           st.integers(min_value=0, max_value=10_000),
-           st.sampled_from(("horizontal", "vertical")), st.booleans(),
-           st.booleans())
+           st.integers(min_value=0, max_value=10_000), st.booleans())
     @settings(max_examples=8, deadline=None)
-    def test_steps_match_from_scratch(self, n, seed, style, merge,
-                                      envelopes):
+    def test_steps_match_from_scratch(self, n, seed, envelopes):
         config = FloorplanConfig(seed_size=2, group_size=2,
-                                 covering_style=style, merge_covering=merge,
                                  use_envelopes=envelopes)
         self._run(random_netlist(n, seed=seed), config)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.augmentation import run_augmentation
 from repro.core.config import FloorplanConfig, Objective
 from repro.core.floorplanner import floorplan
 from repro.core.formulation import SubproblemBuilder
@@ -66,11 +67,11 @@ class TestPerimeterEndToEnd:
         """PERIMETER reports the used width, not the configured bound."""
         nl = random_netlist(6, seed=132)
         cfg = FloorplanConfig(seed_size=3, group_size=2, chip_width=500.0,
-                              objective=Objective.PERIMETER, legalize=False)
-        plan = floorplan(nl, cfg)
-        used = max(p.envelope.x2 for p in plan.placements.values())
-        assert plan.chip_width == pytest.approx(used)
-        assert plan.chip_width < 400.0  # far below the loose bound
+                              objective=Objective.PERIMETER)
+        raw = run_augmentation(nl, cfg)
+        used = max(p.envelope.x2 for p in raw.placements)
+        assert raw.chip_width == pytest.approx(used)
+        assert raw.chip_width < 400.0  # far below the loose bound
 
     def test_string_coercion(self):
         cfg = FloorplanConfig(objective="perimeter")

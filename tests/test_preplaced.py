@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.augmentation import run_augmentation
 from repro.core.config import FloorplanConfig
 from repro.core.floorplanner import Floorplanner
 from repro.core.placement import Placement
@@ -58,17 +59,16 @@ class TestPreplaced:
             "a": Placement(modules[0], Rect(0, 0, 2, 2)),
             "b": Placement(modules[1], Rect(5, 0, 2, 2)),
         }
-        cfg = FloorplanConfig(chip_width=10.0, legalize=False)
-        plan = Floorplanner(nl, cfg, preplaced=preplaced).run()
-        assert plan.placement("a").rect == Rect(0, 0, 2, 2)
-        assert plan.placement("b").rect == Rect(5, 0, 2, 2)
+        cfg = FloorplanConfig(chip_width=10.0)
+        raw = run_augmentation(nl, cfg, preplaced=preplaced)
+        assert {p.name: p.rect for p in raw.placements} == \
+            {"a": Rect(0, 0, 2, 2), "b": Rect(5, 0, 2, 2)}
 
     def test_legalization_does_not_move_preplaced(self):
         """Compaction pulls free modules but pins the preplaced one."""
         nl = _netlist_with_macro()
         macro = Placement(nl.module("macro"), Rect(6.0, 0.0, 8.0, 6.0))
-        cfg = FloorplanConfig(seed_size=3, group_size=2, chip_width=14.0,
-                              legalize=True)
+        cfg = FloorplanConfig(seed_size=3, group_size=2, chip_width=14.0)
         plan = Floorplanner(nl, cfg, preplaced={"macro": macro}).run()
         assert plan.placement("macro").rect.x == pytest.approx(6.0)
         assert plan.placement("macro").rect.y == pytest.approx(0.0)

@@ -80,14 +80,13 @@ class TestFloorplanSerialization:
         from repro.service.runner import CONFIG_FIELDS
 
         changed = dict(
-            chip_width=9.0, whitespace_factor=1.5, chip_aspect=2.0,
+            chip_width=9.0, whitespace_factor=1.5,
             outline=(9.0, 7.0), outline_aspect=1.5, whitespace_target=0.2,
             seed_size=3, group_size=2, objective=Objective.PERIMETER,
             wirelength_weight=0.5, ordering=Ordering.RANDOM, ordering_seed=7,
             allow_rotation=False, linearization=Linearization.TANGENT,
             relinearization_rounds=2, use_envelopes=True,
-            use_covering_rectangles=False, covering_style="vertical",
-            merge_covering=False, legalize=False, record_snapshots=True,
+            use_covering_rectangles=False, record_snapshots=True,
             backend="bnb", formulation="unary", subproblem_time_limit=5.0,
             mip_rel_gap=1e-3, int_tol=1e-5, node_limit=500,
             lp_engine="simplex", certify=True, presolve=False,
@@ -101,6 +100,30 @@ class TestFloorplanSerialization:
         back_config = config_from_dict(doc)
         assert {name: getattr(back_config, name) for name in changed} \
             == changed
+
+    def test_documents_with_retired_config_fields_load(self):
+        """Older documents carry four retired config fields at the one
+        value that still runs; such a document loads as if it had none."""
+        plan = floorplan(random_netlist(5, seed=94),
+                         FloorplanConfig(seed_size=3, group_size=2))
+        doc = json.loads(json.dumps(floorplan_to_dict(plan)))
+        old = json.loads(json.dumps(doc))
+        old["config"].update(chip_aspect=1.0, covering_style="horizontal",
+                             merge_covering=True, legalize=True)
+        back = floorplan_from_dict(old)
+        assert json.loads(json.dumps(floorplan_to_dict(back))) == doc
+
+    @pytest.mark.parametrize("field,value", [
+        ("legalize", False), ("covering_style", "vertical"),
+        ("merge_covering", False), ("chip_aspect", 2.0)])
+    def test_retired_config_field_at_another_value_refused(self, field,
+                                                           value):
+        """A plan made without the final LP, or with another covering or
+        chip aspect, can no longer be re-solved as it was made."""
+        doc = config_to_dict(FloorplanConfig())
+        doc[field] = value
+        with pytest.raises(ValueError, match=field):
+            config_from_dict(doc)
 
     def test_file_roundtrip(self, tmp_path):
         nl = random_netlist(5, seed=94)

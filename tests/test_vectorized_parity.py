@@ -48,7 +48,6 @@ from repro.core.formulation import SubproblemBuilder
 from repro.geometry.covering import (
     horizontal_cut_decomposition,
     merge_covering_rectangles,
-    vertical_step_decomposition,
 )
 from repro.geometry.rect import GEOM_EPS, Rect
 from repro.geometry.skyline import Skyline
@@ -553,10 +552,6 @@ class TestGeometryParity:
         merged = merge_covering_rectangles(cuts)
         assert [(r.x, r.y, r.w, r.h) for r in merged] == \
             [(r.x, r.y, r.w, r.h) for r in _ref_merge(cuts)]
-        vertical = vertical_step_decomposition(sky)
-        assert [(r.x, r.y, r.w, r.h) for r in vertical] == \
-            [(s.x1, 0.0, s.x2 - s.x1, s.height) for s in sky.steps
-             if s.height > GEOM_EPS]
 
 
 # ---------------------------------------------------------------------------
