@@ -13,7 +13,7 @@ import math
 import re
 
 from repro.milp.expr import LinExpr, Variable, VarKind, lin_sum
-from repro.milp.model import Model, ObjectiveSense, Sense
+from repro.milp.model import Model, ObjectiveSense
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 

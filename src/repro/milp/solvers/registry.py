@@ -213,7 +213,8 @@ def solve(model: Model, backend: str = "highs", *,
             being served (see :mod:`repro.milp.cache`).  The key folds in
             ``backend``, whether presolve runs, whether a warm start is
             offered (a callable counts), the ``mip_rel_gap`` / ``int_tol``
-            tolerances, ``context`` and, for ``"highs"``, its effective MIP
+            tolerances, ``context``, an ``lp_engine`` other than the
+            default ``"highs"`` and, for ``"highs"``, its effective MIP
             option profile, so configurations that could return different
             optimal vertices never share an entry.
         form: a precomputed ``model.to_standard_form()``; batching callers
@@ -282,6 +283,11 @@ def _lookup(cache: "SolveCache", model: Model, form: StandardForm,
     items = (backend, bool(presolve), warm_started,
              cache_mod._q(mip_rel_gap), cache_mod._q(int_tol),
              *context.key_items())
+    # bnb's LP engine can pick another optimal vertex; the default engine
+    # adds no entry, so its keys are the ones recorded before this one.
+    lp_engine = options.get("lp_engine", "highs")
+    if lp_engine != "highs":
+        items += (("lp_engine", lp_engine),)
     if backend == "highs":
         from repro.milp.solvers.scipy_backend import highs_profile
 

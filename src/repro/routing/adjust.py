@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.config import Linearization
 from repro.core.placement import Placement
 from repro.core.topology import derive_relations, optimize_topology
@@ -92,12 +94,12 @@ def adjust_floorplan(placements: Mapping[str, Placement],
     demands: dict[tuple[str, str, str], float] = {}
     gaps: dict[tuple[str, str, str], float] = {}
 
-    all_rects = [p.rect for p in placement_list]
+    occluders = Occluders([p.rect for p in placement_list])
     crossings = routed_crossings(channel_graph, routing)
 
     def gap_fn(first: Placement, second: Placement, axis: str) -> float:
         demand = _corridor_demand(first, second, axis, crossings,
-                                  occluders=all_rects)
+                                  occluders=occluders)
         required = demand * (technology.pitch_v if axis == "x"
                              else technology.pitch_h)
         margin = 0.0 if strip_envelopes \
@@ -142,54 +144,108 @@ def _margin_between(first: Placement, second: Placement, axis: str) -> float:
         - max(0.0, second.envelope.y - first.envelope.y2)
 
 
-#: A used graph edge as a boundary crossing: the boundary line's coordinate,
-#: the crossed segment's extent along the line, and the wires through it.
-Crossing = tuple[float, float, float, float]
+@dataclass(frozen=True)
+class Crossings:
+    """The used graph edges that cross boundaries of one orientation, as
+    arrays in ``routing.edge_usage`` order.
+
+    Attributes:
+        line: each crossed boundary line's coordinate.
+        seg_lo: where the crossed segment starts along its line.
+        seg_hi: where it ends.
+        usage: the wires through the edge.
+        group: per crossing, the index of its ``round(line, 6)`` among
+            the distinct rounded lines; :func:`peak_demand` sums usage
+            per group.
+    """
+
+    line: np.ndarray
+    seg_lo: np.ndarray
+    seg_hi: np.ndarray
+    usage: np.ndarray
+    group: np.ndarray
 
 
 def routed_crossings(channel_graph: ChannelGraph,
-                     routing: RoutingResult) -> dict[str, list[Crossing]]:
-    """Every used edge's crossing ``(line, seg_lo, seg_hi, usage)``, grouped
-    by the edge's orientation, in ``routing.edge_usage`` order.
+                     routing: RoutingResult) -> dict[str, Crossings]:
+    """Every used edge's crossing, grouped by the edge's orientation.
 
-    An ``"h"`` edge crosses a horizontal boundary (``line`` is a y, the
-    segment runs along x); a ``"v"`` edge crosses a vertical one.
+    An ``"h"`` edge joins a cell to the one above it and crosses their
+    horizontal boundary (``line`` is a y, the segment runs along x); a
+    ``"v"`` edge joins horizontal neighbours and crosses a vertical one.
+    The coordinates come from the cut arrays, and a cell ends at
+    ``x + (x_next - x)``, as :meth:`ChannelGraph.cell_rect` computes it.
+    A pair of cells that is no edge of ``channel_graph`` is skipped: the
+    graph joins every two free cells that share a side, and no others.
     """
-    crossings: dict[str, list[Crossing]] = {"h": [], "v": []}
-    for (u, v), usage in routing.edge_usage.items():
-        if usage <= 0 or (edge := channel_graph.edge_id(u, v)) is None:
-            continue
-        orientation = channel_graph.orientation[edge]
-        rect_u = channel_graph.cell_rect(u)
-        rect_v = channel_graph.cell_rect(v)
-        if orientation == "h":
-            line = rect_u.y2 if rect_u.y < rect_v.y else rect_v.y2
-            seg_lo = max(rect_u.x, rect_v.x)
-            seg_hi = min(rect_u.x2, rect_v.x2)
-        else:
-            line = rect_u.x2 if rect_u.x < rect_v.x else rect_v.x2
-            seg_lo = max(rect_u.y, rect_v.y)
-            seg_hi = min(rect_u.y2, rect_v.y2)
-        crossings[orientation].append((line, seg_lo, seg_hi, usage))
-    return crossings
+    ids = channel_graph.ids
+    used = [((*u, *v), usage) for (u, v), usage in routing.edge_usage.items()
+            if usage > 0 and u in ids and v in ids
+            and abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1]
+    cells = np.array([c for c, _ in used], dtype=np.intp).reshape(-1, 4)
+    usage = np.array([w for _, w in used], dtype=float)
+    i = np.minimum(cells[:, 0], cells[:, 2])  # the left (or shared) column
+    j = np.minimum(cells[:, 1], cells[:, 3])  # the lower (or shared) row
+    up = cells[:, 0] == cells[:, 2]
+    xs = np.array(channel_graph.xs, dtype=float)
+    ys = np.array(channel_graph.ys, dtype=float)
+    x_end, y_end = xs[:-1] + (xs[1:] - xs[:-1]), ys[:-1] + (ys[1:] - ys[:-1])
+    return {"h": _crossings(y_end, xs, x_end, j[up], i[up], usage[up]),
+            "v": _crossings(x_end, ys, y_end, i[~up], j[~up], usage[~up])}
 
 
-def peak_demand(crossings: Sequence[Crossing], line_lo: float,
-                line_hi: float, lo: float, hi: float) -> float:
+def _crossings(line_at: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+               line: np.ndarray, segment: np.ndarray,
+               usage: np.ndarray) -> Crossings:
+    """The crossings on grid lines ``line`` (indexes into ``line_at``)
+    over grid intervals ``segment`` (from ``starts`` to ``ends``)."""
+    index: dict[float, int] = {}
+    group_at = np.array([index.setdefault(round(v, 6), len(index))
+                         for v in line_at.tolist()], dtype=np.intp)
+    return Crossings(line=line_at[line], seg_lo=starts[segment],
+                     seg_hi=ends[segment], usage=usage,
+                     group=group_at[line])
+
+
+def peak_demand(crossings: Crossings, line_lo: float, line_hi: float,
+                lo: float, hi: float) -> float:
     """Peak summed usage on one boundary line, over the crossings whose line
-    lies in ``[line_lo, line_hi]`` and whose segment overlaps ``(lo, hi)``."""
-    per_line: dict[float, float] = {}
-    for line, seg_lo, seg_hi, usage in crossings:
-        if (line_lo - GEOM_EPS <= line <= line_hi + GEOM_EPS
-                and seg_lo < hi - GEOM_EPS and seg_hi > lo + GEOM_EPS):
-            key = round(line, 6)
-            per_line[key] = per_line.get(key, 0.0) + usage
-    return max(per_line.values(), default=0.0)
+    lies in ``[line_lo, line_hi]`` and whose segment overlaps ``(lo, hi)``;
+    lines with the same ``round(line, 6)`` count as one."""
+    inside = ((line_lo - GEOM_EPS <= crossings.line)
+              & (crossings.line <= line_hi + GEOM_EPS)
+              & (crossings.seg_lo < hi - GEOM_EPS)
+              & (crossings.seg_hi > lo + GEOM_EPS))
+    if not inside.any():
+        return 0.0
+    return float(np.bincount(crossings.group[inside],
+                             weights=crossings.usage[inside]).max())
+
+
+class Occluders:
+    """Module rectangles as arrays, for the corridor test of
+    :func:`_corridor_demand`."""
+
+    def __init__(self, rects: Sequence[Rect]) -> None:
+        self.rects = list(rects)
+        self.x, self.x2, self.y, self.y2 = (
+            np.array([getattr(r, side) for r in self.rects], dtype=float)
+            for side in ("x", "x2", "y", "y2"))
+
+    def overlap(self, corridor: Rect, a: Rect, b: Rect) -> bool:
+        """Whether a rectangle other than ``a`` and ``b`` (by identity)
+        overlaps ``corridor``, as :meth:`Rect.overlaps` tests it."""
+        hit = ((self.x < corridor.x2 - GEOM_EPS)
+               & (corridor.x < self.x2 - GEOM_EPS)
+               & (self.y < corridor.y2 - GEOM_EPS)
+               & (corridor.y < self.y2 - GEOM_EPS))
+        return any(self.rects[k] is not a and self.rects[k] is not b
+                   for k in np.flatnonzero(hit).tolist())
 
 
 def _corridor_demand(first: Placement, second: Placement, axis: str,
-                     crossings: Mapping[str, Sequence[Crossing]],
-                     occluders: list[Rect] | None = None) -> float:
+                     crossings: Mapping[str, Crossings],
+                     occluders: Occluders | None = None) -> float:
     """Peak number of wires running along the corridor between two modules.
 
     For an x-relation (``first`` left of ``second``) the corridor is the
@@ -216,9 +272,6 @@ def _corridor_demand(first: Placement, second: Placement, axis: str,
     if hi - lo > GEOM_EPS and occluders is not None:
         corridor = Rect(lo, span_lo, hi - lo, span_hi - span_lo) \
             if axis == "x" else Rect(span_lo, lo, span_hi - span_lo, hi - lo)
-        for other in occluders:
-            if other is a or other is b:
-                continue
-            if other.overlaps(corridor):
-                return 0.0
+        if occluders.overlap(corridor, a, b):
+            return 0.0
     return peak_demand(crossings[crossing], span_lo, span_hi, lo, hi)

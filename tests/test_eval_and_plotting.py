@@ -109,8 +109,9 @@ class TestRenderers:
 
     def test_ascii_aspect(self):
         text = render_ascii(_placements(), Rect(0, 0, 8, 4), columns=40)
-        grid_lines = [l for l in text.splitlines() if l and "=" not in l]
-        assert all(len(l) == 40 for l in grid_lines)
+        grid_lines = [line for line in text.splitlines()
+                      if line and "=" not in line]
+        assert all(len(line) == 40 for line in grid_lines)
 
     def test_ascii_empty_chip(self):
         assert "empty" in render_ascii({}, Rect(0, 0, 0, 0))

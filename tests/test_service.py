@@ -19,7 +19,6 @@ from repro.milp.model import Model
 from repro.milp.solvers.registry import solve
 from repro.serialize import (floorplan_from_dict, model_to_dict,
                              netlist_to_dict)
-from repro.service import JobStatus
 from service_helpers import running_service
 
 

@@ -200,6 +200,25 @@ class TestRegistryIntegration:
         other = solve(model, backend="bnb", cache=cache)
         assert other.telemetry.cache["hit"] is False
 
+    def test_bnb_lp_engines_do_not_share_entries(self):
+        """bnb over the NumPy simplex is not served bnb over HiGHS's LP
+        engine; the default engine keys as a solve that names none."""
+        m = Model("knapsack")
+        items = [m.add_binary(f"b{i}") for i in range(4)]
+        m.add_constraint(sum(w * b for w, b in zip((5, 4, 3, 2), items))
+                         <= 9.0)
+        m.set_objective(-sum(v * b for v, b in zip((10, 7, 5, 3), items)))
+        cache = SolveCache()
+        first = solve(m, backend="bnb", cache=cache, lp_engine="highs")
+        assert first.backend == "bnb[highs]"
+        simplex = solve(m, backend="bnb", cache=cache, lp_engine="simplex")
+        assert simplex.telemetry.cache["hit"] is False
+        assert simplex.backend == "bnb[simplex]"
+        assert simplex.objective == first.objective == -17.0
+        default = solve(m, backend="bnb", cache=cache)
+        assert default.telemetry.cache["hit"] is True
+        assert default.backend == "bnb[highs]"
+
     @pytest.mark.parametrize("backend", ["highs", "bnb"])
     def test_a_solve_naming_no_gap_is_keyed_at_the_default_gap(self,
                                                                 backend):
