@@ -278,51 +278,16 @@ def _solve_step(netlist: Netlist, config: FloorplanConfig, chip_width: float,
                 step_index: int,
                 on_step: Callable[[AugmentationStep], None] | None = None,
                 height_cap: float | None = None) -> list[Placement]:
-    """Formulate, solve, and decode one subproblem; append its trace record.
+    """Solve one augmentation window and append its trace record.
 
     ``skyline`` is the skyline of ``placed``'s envelopes over
     ``[0, chip_width]`` (None while nothing is placed).
     """
-    window = [netlist.module(name) for name in group]
-    obstacles, polygon = _cover_partial_floorplan(placed, chip_width, config,
-                                                  skyline)
-    base_height = max((p.envelope.y2 for p in placed), default=0.0)
-
-    pair_weights: dict[tuple[str, str], float] = {}
-    anchors: list[AnchorAttraction] = []
-    if config.objective is Objective.AREA_WIRELENGTH:
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                a, b = sorted((group[i], group[j]))
-                c = netlist.common_nets(a, b)
-                if c:
-                    pair_weights[(a, b)] = float(c)
-        for name in group:
-            for p in placed:
-                c = netlist.common_nets(name, p.name)
-                if c:
-                    cx, cy = p.center
-                    anchors.append(AnchorAttraction(name, cx, cy, float(c)))
-
-    pair_bounds, anchor_bounds = _length_bounds(netlist, group, placed)
-
-    def build(overrides=None) -> SubproblemBuilder:
-        return SubproblemBuilder(window, obstacles, chip_width, config,
-                                 pair_weights=pair_weights, anchors=anchors,
-                                 pair_length_bounds=pair_bounds,
-                                 anchor_length_bounds=anchor_bounds,
-                                 flex_linearizations=overrides,
-                                 base_height=base_height,
-                                 outline_height=height_cap)
-
-    builder = build()
-    solution = _solve_with_retry(builder, config)
-    new_placements = builder.decode(solution)
-
-    has_flexible = any(m.flexible for m in window)
-    if has_flexible and config.relinearization_rounds > 0:
-        builder, solution, new_placements = _relinearize(
-            build, config, new_placements, solution, builder)
+    new_placements, builder, solution, polygon = solve_window(
+        netlist, config, chip_width, group, placed, skyline=skyline,
+        base_height=max((p.envelope.y2 for p in placed), default=0.0),
+        height_cap=height_cap)
+    obstacles = builder.obstacles
 
     certification = None
     if config.certify:
@@ -357,6 +322,71 @@ def _solve_step(netlist: Netlist, config: FloorplanConfig, chip_width: float,
     if on_step is not None:
         on_step(trace.steps[-1])
     return new_placements
+
+
+def solve_window(netlist: Netlist, config: FloorplanConfig,
+                 chip_width: float, names: Sequence[str],
+                 placed: list[Placement], *, skyline: Skyline | None = None,
+                 base_height: float = 0.0, height_cap: float | None = None,
+                 eco: tuple[int, int] | None = None
+                 ) -> tuple[list[Placement], SubproblemBuilder, Solution,
+                            CoveringPolygon | None]:
+    """Formulate, solve and decode one window against a placed set.
+
+    The placed set becomes covering rectangles (section 3.1); the window's
+    wirelength terms and critical-net bounds come from ``netlist``; a window
+    with flexible modules is re-linearized about its realized widths.  An
+    augmentation step passes its running ``skyline`` of ``placed`` and the
+    placed set's top as ``base_height``.  An ECO window
+    (:mod:`repro.core.eco`) passes neither, and its ``(window, frozen)``
+    shape as ``eco``.
+
+    Returns:
+        The window's placements, the builder and solution they decode
+        from, and the covering polygon (None when nothing is placed).
+
+    Raises:
+        FloorplanError: when the window has no feasible solution, after one
+            retry with a doubled time limit.
+    """
+    window = [netlist.module(name) for name in names]
+    obstacles, polygon = _cover_partial_floorplan(placed, chip_width, config,
+                                                  skyline)
+
+    pair_weights: dict[tuple[str, str], float] = {}
+    anchors: list[AnchorAttraction] = []
+    if config.objective is Objective.AREA_WIRELENGTH:
+        for i in range(len(names)):
+            for j in range(i + 1, len(names)):
+                a, b = sorted((names[i], names[j]))
+                c = netlist.common_nets(a, b)
+                if c:
+                    pair_weights[(a, b)] = float(c)
+        for name in names:
+            for p in placed:
+                c = netlist.common_nets(name, p.name)
+                if c:
+                    cx, cy = p.center
+                    anchors.append(AnchorAttraction(name, cx, cy, float(c)))
+
+    pair_bounds, anchor_bounds = _length_bounds(netlist, names, placed)
+
+    def build(overrides=None) -> SubproblemBuilder:
+        return SubproblemBuilder(window, obstacles, chip_width, config,
+                                 pair_weights=pair_weights, anchors=anchors,
+                                 pair_length_bounds=pair_bounds,
+                                 anchor_length_bounds=anchor_bounds,
+                                 flex_linearizations=overrides,
+                                 base_height=base_height,
+                                 outline_height=height_cap)
+
+    builder = build()
+    solution = _solve_with_retry(builder, config, eco=eco)
+    placements = builder.decode(solution)
+    if any(m.flexible for m in window) and config.relinearization_rounds > 0:
+        builder, solution, placements = _relinearize(
+            build, config, placements, solution, builder, eco=eco)
+    return placements, builder, solution, polygon
 
 
 def _relinearize(build, config: FloorplanConfig,

@@ -9,6 +9,7 @@ modules, the covering-rectangle ablation, and solver backend/limits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -239,10 +240,19 @@ class FloorplanConfig:
         # NaN passes every range check below, and a service request can
         # carry NaN or Infinity (``json.loads`` parses both).
         for name in ("chip_width", "whitespace_factor", "outline_aspect",
-                     "wirelength_weight", "eco_margin", "eco_quality_bound"):
+                     "wirelength_weight", "eco_margin", "eco_quality_bound",
+                     "subproblem_time_limit", "mip_rel_gap", "int_tol"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        # A fractional count passes the range checks and fails later, in
+        # a slice or range() of the run.
+        for name in ("seed_size", "group_size", "relinearization_rounds",
+                     "node_limit", "eco_max_levels"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or
+                                      not isinstance(value, numbers.Integral)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.seed_size < 1:
             raise ValueError("seed_size must be >= 1")
         if self.group_size < 1:
@@ -277,6 +287,11 @@ class FloorplanConfig:
             raise ValueError("relinearization_rounds must be >= 0")
         if self.int_tol <= 0:
             raise ValueError("int_tol must be positive")
+        if self.mip_rel_gap < 0:
+            raise ValueError("mip_rel_gap must be >= 0")
+        if self.subproblem_time_limit is not None \
+                and self.subproblem_time_limit <= 0:
+            raise ValueError("subproblem_time_limit must be positive")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
         if self.service_workers < 1:

@@ -9,11 +9,12 @@ structured :class:`NetlistDelta`, computes the *disturbed window* (modules
 whose placements the delta invalidates, grown by an adjacency margin),
 freezes every untouched placement as covering-rectangle obstacles — the
 same section-3.1 replacement the augmentation loop uses — and re-solves
-only the window, warm-started like any augmentation step with the window
-packed onto the frozen rest's skyline.  When the windowed subproblem is
-infeasible or the patched plan misses the quality bound, the window
-escalates (margin doubles per level) until it covers the whole netlist, at
-which point the engine falls back to a full cold re-solve.
+only the window with the augmentation step's own window solve
+(:func:`~repro.core.augmentation.solve_window`), warm-started with the
+window packed onto the frozen rest's skyline.  When the windowed
+subproblem is infeasible or the patched plan misses the quality bound, the
+window escalates (margin doubles per level) until it covers the whole
+netlist, at which point the engine falls back to a full cold re-solve.
 
 The outcome is an :class:`EcoResult`: the patched plan, a machine-checkable
 provenance record (window chosen, escalation path, solves avoided vs.
@@ -38,12 +39,10 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.core.augmentation import FloorplanError, _cover_partial_floorplan, \
-    _length_bounds, _relinearize, _solve_with_retry, module_statistics, \
-    resolve_outline
+from repro.core.augmentation import FloorplanError, module_statistics, \
+    resolve_outline, solve_window
 from repro.core.config import FloorplanConfig, Objective
 from repro.core.floorplanner import Floorplan
-from repro.core.formulation import AnchorAttraction, SubproblemBuilder
 from repro.geometry.rect import GEOM_EPS, Rect
 from repro.netlist.module import Module
 from repro.netlist.net import Net
@@ -400,61 +399,6 @@ def _merged_plan(patched: Netlist, config: FloorplanConfig,
                      chip_width=chip_width, chip_height=height)
 
 
-def _solve_window(baseline: Floorplan, patched: Netlist,
-                  config: FloorplanConfig, window_names: set[str],
-                  outline_height: float | None
-                  ) -> tuple["list[Placement]", SubproblemBuilder, Any]:
-    """Formulate and solve one windowed subproblem against the frozen rest.
-
-    Raises :class:`~repro.core.augmentation.FloorplanError` when the window
-    is infeasible (the escalation ladder catches it).
-    """
-    chip_width = baseline.chip_width
-    order = [m.name for m in patched.modules if m.name in window_names]
-    window = [patched.module(name) for name in order]
-    frozen = [p for name, p in baseline.placements.items()
-              if name not in window_names and name in patched.module_names]
-    obstacles, _polygon = _cover_partial_floorplan(frozen, chip_width, config)
-
-    pair_weights: dict[tuple[str, str], float] = {}
-    anchors: list[AnchorAttraction] = []
-    if config.objective is Objective.AREA_WIRELENGTH:
-        for i in range(len(order)):
-            for j in range(i + 1, len(order)):
-                a, b = sorted((order[i], order[j]))
-                c = patched.common_nets(a, b)
-                if c:
-                    pair_weights[(a, b)] = float(c)
-        for name in order:
-            for p in frozen:
-                c = patched.common_nets(name, p.name)
-                if c:
-                    cx, cy = p.center
-                    anchors.append(AnchorAttraction(name, cx, cy, float(c)))
-    pair_bounds, anchor_bounds = _length_bounds(patched, order, frozen)
-
-    def build(overrides=None) -> SubproblemBuilder:
-        return SubproblemBuilder(
-            window, obstacles, chip_width, config,
-            pair_weights=pair_weights, anchors=anchors,
-            pair_length_bounds=pair_bounds,
-            anchor_length_bounds=anchor_bounds,
-            flex_linearizations=overrides,
-            base_height=0.0, outline_height=outline_height)
-
-    eco_shape = (len(window), len(frozen))
-    builder = build()
-    solution = _solve_with_retry(builder, config, eco=eco_shape)
-    placements = builder.decode(solution)
-
-    # Flexible windows need the same tangent refinement as the cold path:
-    # a single linearized solve can realize dimensions that overlap.
-    if any(m.flexible for m in window) and config.relinearization_rounds > 0:
-        builder, solution, placements = _relinearize(
-            build, config, placements, solution, builder, eco=eco_shape)
-    return placements, builder, solution
-
-
 def solve_eco(baseline: Floorplan, delta: NetlistDelta,
               config: FloorplanConfig | None = None, *,
               on_step=None) -> EcoResult:
@@ -543,10 +487,12 @@ def solve_eco(baseline: Floorplan, delta: NetlistDelta,
             break
         frozen = {name: p for name, p in baseline.placements.items()
                   if name not in window_names and name in all_names}
+        order = [m.name for m in patched.modules if m.name in window_names]
         started = time.perf_counter()
         try:
-            moved, builder, solution = _solve_window(
-                baseline, patched, config, window_names, outline_height)
+            moved, builder, solution, _polygon = solve_window(
+                patched, config, chip_width, order, list(frozen.values()),
+                height_cap=outline_height, eco=(len(order), len(frozen)))
         except FloorplanError as exc:
             result.solver_invocations += 1
             result.attempts.append(EcoAttempt(

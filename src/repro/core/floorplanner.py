@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.core.augmentation import AugmentationStep, AugmentationTrace, \
     run_augmentation
-from repro.core.config import FloorplanConfig, Linearization
+from repro.core.config import FloorplanConfig
 from repro.core.placement import Placement
 from repro.core.topology import derive_relations, optimize_topology
 from repro.geometry.rect import GEOM_EPS, Rect, any_overlap
@@ -195,9 +195,7 @@ class Floorplanner:
         # the cap released — a slightly wider legal chip beats an
         # illegal one.
         options = dict(resize_flexible=self.netlist.n_flexible > 0,
-                       fixed_names=frozenset(self.preplaced),
-                       linearization=Linearization.SECANT, backend="highs",
-                       cache=cache)
+                       fixed_names=frozenset(self.preplaced), cache=cache)
         try:
             topo = optimize_topology(result.placements, relations,
                                      max_chip_width=result.chip_width,

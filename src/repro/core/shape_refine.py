@@ -17,11 +17,7 @@ from typing import Sequence
 
 from repro.core.flexible import linearize_at
 from repro.core.placement import Placement
-from repro.core.topology import Relation, derive_relations
-from repro.geometry.rect import Rect
-from repro.milp.expr import LinExpr
-from repro.milp.model import Model
-from repro.milp.solvers.registry import solve
+from repro.core.topology import Relation, derive_relations, optimize_topology
 
 
 @dataclass
@@ -53,15 +49,15 @@ class RefinementResult:
 def refine_shapes(placements: Sequence[Placement], *,
                   relations: Sequence[Relation] | None = None,
                   max_chip_width: float | None = None,
-                  max_rounds: int = 8, tolerance: float = 1e-6,
-                  backend: str = "highs") -> RefinementResult:
+                  max_rounds: int = 8,
+                  tolerance: float = 1e-6) -> RefinementResult:
     """Iteratively re-size flexible modules for a fixed topology.
 
-    Each round solves the section-2.5 LP with every flexible module's height
-    tangent-linearized about its current width, then updates the widths from
-    the solution.  Rounds repeat until no width moves more than ``tolerance``
-    or ``max_rounds`` is hit.  Rigid-only floorplans converge in one round
-    (pure compaction).
+    Each round solves the section-2.5 LP (:func:`optimize_topology`) with
+    every flexible module's height tangent-linearized about its current
+    width, then updates the widths from the solution.  Rounds repeat until
+    no width moves more than ``tolerance`` or ``max_rounds`` is hit.
+    Rigid-only floorplans converge in one round (pure compaction).
 
     Args:
         placements: the floorplan to refine (topology is preserved).
@@ -71,7 +67,9 @@ def refine_shapes(placements: Sequence[Placement], *,
         max_chip_width: optional chip-width cap.
         max_rounds: LP round limit.
         tolerance: convergence threshold on flexible widths.
-        backend: LP backend.
+
+    Raises:
+        RuntimeError: when a round's LP is infeasible.
     """
     current = list(placements)
     fixed_relations = list(relations) if relations is not None \
@@ -81,7 +79,11 @@ def refine_shapes(placements: Sequence[Placement], *,
     rounds = 0
 
     for rounds in range(1, max_rounds + 1):
-        result = _one_round(current, fixed_relations, max_chip_width, backend)
+        tangents = {p.name: linearize_at(p.module, p.rect.w)
+                    for p in current if p.module.flexible}
+        result = optimize_topology(current, fixed_relations,
+                                   max_chip_width=max_chip_width,
+                                   flex_linearizations=tangents)
         moved = 0.0
         for before, after in zip(current, result.placements):
             if before.module.flexible:
@@ -99,94 +101,6 @@ def refine_shapes(placements: Sequence[Placement], *,
     return RefinementResult(placements=current, chip_width=chip_w,
                             chip_height=chip_h, n_rounds=rounds,
                             converged=converged, area_history=area_history)
-
-
-@dataclass
-class _RoundResult:
-    """One LP round's outcome."""
-
-    placements: list[Placement]
-    chip_width: float
-    chip_height: float
-
-
-def _one_round(placements: list[Placement], relations: Sequence[Relation],
-               max_chip_width: float | None, backend: str) -> "_RoundResult":
-    """One LP solve with tangents at the current widths.
-
-    Reuses :func:`optimize_topology`'s machinery by constructing a bespoke
-    model: tangent height models are injected by temporarily re-deriving
-    each flexible placement's linearization about its current width.
-    """
-    model = Model("shape_refine_lp")
-    current_w = max((p.envelope.x2 for p in placements), default=1.0)
-    current_h = max((p.envelope.y2 for p in placements), default=1.0)
-    width_cap = float("inf") if max_chip_width is None \
-        else max_chip_width * (1.0 + 1e-6) + 1e-9
-    width_var = model.add_continuous("chip_width", lb=0.0, ub=width_cap)
-    height_var = model.add_continuous("chip_height", lb=0.0)
-
-    xs: dict[str, object] = {}
-    ys: dict[str, object] = {}
-    widths: dict[str, LinExpr] = {}
-    heights: dict[str, LinExpr] = {}
-    dws: dict[str, object] = {}
-    by_name: dict[str, Placement] = {}
-
-    for p in placements:
-        name = p.name
-        by_name[name] = p
-        xs[name] = model.add_continuous(f"x[{name}]", lb=0.0)
-        ys[name] = model.add_continuous(f"y[{name}]", lb=0.0)
-        margin_w = p.envelope.w - p.rect.w
-        margin_h = p.envelope.h - p.rect.h
-        if p.module.flexible:
-            flex = linearize_at(p.module, p.rect.w)
-            dw = model.add_continuous(f"dw[{name}]", lb=0.0, ub=flex.dw_max)
-            dws[name] = dw
-            widths[name] = LinExpr({dw: -1.0}, flex.w_max + margin_w)
-            heights[name] = LinExpr({dw: flex.slope}, flex.h0 + margin_h)
-        else:
-            widths[name] = LinExpr({}, p.envelope.w)
-            heights[name] = LinExpr({}, p.envelope.h)
-
-    for rel in relations:
-        if rel.axis == "x":
-            model.add_constraint(
-                xs[rel.first] + widths[rel.first] + rel.gap <= xs[rel.second])
-        else:
-            model.add_constraint(
-                ys[rel.first] + heights[rel.first] + rel.gap <= ys[rel.second])
-    for name in by_name:
-        model.add_constraint(xs[name] + widths[name] <= width_var)
-        model.add_constraint(ys[name] + heights[name] <= height_var)
-
-    model.set_objective(current_h * width_var + current_w * height_var)
-    solution = solve(model, backend=backend)
-    if not solution.status.has_solution:
-        raise RuntimeError(f"shape-refinement LP is {solution.status.value}")
-
-    new_placements: list[Placement] = []
-    for name, p in by_name.items():
-        ex = solution.value(xs[name])
-        ey = solution.value(ys[name])
-        if name in dws:
-            flex = linearize_at(p.module, p.rect.w)
-            dw_value = min(max(solution.value(dws[name]), 0.0), flex.dw_max)
-            width = flex.width(dw_value)
-            height = p.module.area / width
-        else:
-            width, height = p.rect.w, p.rect.h
-        left = p.rect.x - p.envelope.x
-        bottom = p.rect.y - p.envelope.y
-        env = Rect(ex, ey, width + (p.envelope.w - p.rect.w),
-                   height + (p.envelope.h - p.rect.h))
-        rect = Rect(ex + left, ey + bottom, width, height)
-        new_placements.append(p.resized(rect, env))
-
-    return _RoundResult(placements=new_placements,
-                        chip_width=solution.value(width_var),
-                        chip_height=solution.value(height_var))
 
 
 def _area_of(placements: Sequence[Placement]) -> float:

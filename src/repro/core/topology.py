@@ -8,25 +8,26 @@ this problem, it results in elimination of all integer variables."
 Given relative positions (derived from an existing floorplan), every pair's
 binaries collapse to constants and a single linear inequality per pair
 remains: a pure LP over module positions (and flexible widths).  We use this
-engine three ways:
+engine four ways:
 
 1. the paper's standalone formulation (optimize shapes for a fixed topology);
 2. **legalization** after tangent-linearized flexible placement (exact
    heights may overlap slightly; the LP restores separation while keeping
    the topology);
 3. **channel-width adjustment** after global routing (per-pair minimum gaps
-   encode routed channel demand; the LP computes the minimal enlarged chip).
+   encode routed channel demand; the LP computes the minimal enlarged chip);
+4. **shape refinement** (:mod:`repro.core.shape_refine`), re-solved with
+   each flexible module's tangent about its current width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.config import Linearization
-from repro.core.flexible import linearize
+from repro.core.flexible import FlexLinearization, linearize
 from repro.core.placement import Placement
 from repro.geometry.rect import Rect
 from repro.milp.expr import Variable
@@ -109,7 +110,8 @@ def optimize_topology(placements: Sequence[Placement],
                       max_chip_width: float | None = None,
                       resize_flexible: bool = True,
                       fixed_names: frozenset[str] | set[str] = frozenset(),
-                      linearization: Linearization = Linearization.SECANT,
+                      flex_linearizations: Mapping[str, FlexLinearization]
+                      | None = None,
                       backend: str = "highs",
                       cache=None) -> TopologyResult:
     """Re-place (and optionally re-shape) modules for a given topology.
@@ -129,7 +131,10 @@ def optimize_topology(placements: Sequence[Placement],
         resize_flexible: let flexible modules change width within bounds.
         fixed_names: modules pinned at their current position and shape
             (preplaced pads/macros).
-        linearization: height model used for flexible modules.
+        flex_linearizations: per-module height models of the resized
+            flexible modules; a module it does not name takes the secant
+            (:func:`~repro.core.flexible.linearize`).  Shape refinement
+            passes each module's tangent about its current width.
         backend: LP backend (``highs``, ``simplex``, or ``bnb``).
         cache: optional :class:`~repro.milp.cache.SolveCache` consulted
             before the LP is solved (hits are re-certified; see
@@ -160,8 +165,10 @@ def optimize_topology(placements: Sequence[Placement],
     # {dw: coefficient} for a resized flexible module, else empty.
     env_widths: dict[str, tuple[dict[Variable, float], float]] = {}
     env_heights: dict[str, tuple[dict[Variable, float], float]] = {}
-    dws: dict[str, Variable] = {}
+    # Each resized flexible module's width-shrink variable and height model.
+    dws: dict[str, tuple[Variable, FlexLinearization]] = {}
     by_name: dict[str, Placement] = {}
+    flex_linearizations = flex_linearizations or {}
 
     for p in placements:
         name = p.name
@@ -181,9 +188,9 @@ def optimize_topology(placements: Sequence[Placement],
         margin_w = p.envelope.w - p.rect.w
         margin_h = p.envelope.h - p.rect.h
         if p.module.flexible and resize_flexible:
-            flex = linearize(p.module, linearization)
+            flex = flex_linearizations.get(name) or linearize(p.module)
             dw = model.add_continuous(f"dw[{name}]", lb=0.0, ub=flex.dw_max)
-            dws[name] = dw
+            dws[name] = (dw, flex)
             env_widths[name] = ({dw: -1.0}, flex.w_max + margin_w)
             env_heights[name] = ({dw: flex.slope}, flex.h0 + margin_h)
         else:
@@ -233,8 +240,8 @@ def optimize_topology(placements: Sequence[Placement],
         ex = solution.value(xs[name])
         ey = solution.value(ys[name])
         if name in dws:
-            flex = linearize(p.module, linearization)
-            dw_value = min(max(solution.value(dws[name]), 0.0), flex.dw_max)
+            dw, flex = dws[name]
+            dw_value = min(max(solution.value(dw), 0.0), flex.dw_max)
             width = flex.width(dw_value)
             height = flex.height_exact(dw_value)
         else:

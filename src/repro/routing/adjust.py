@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.config import Linearization
 from repro.core.placement import Placement
 from repro.core.topology import derive_relations, optimize_topology
 from repro.geometry.rect import GEOM_EPS, Rect
@@ -61,9 +60,7 @@ def adjust_floorplan(placements: Mapping[str, Placement],
                      channel_graph: ChannelGraph,
                      routing: RoutingResult,
                      technology: Technology, *,
-                     strip_envelopes: bool = True,
-                     linearization: Linearization = Linearization.SECANT,
-                     backend: str = "highs") -> AdjustedFloorplan:
+                     strip_envelopes: bool = True) -> AdjustedFloorplan:
     """Size channels to the routed demand and recompute the chip.
 
     Args:
@@ -78,8 +75,6 @@ def adjust_floorplan(placements: Mapping[str, Placement],
             widen.  This is the paper's "widths of channels are adjusted to
             accommodate results of the global routing".  With False, existing
             envelope margins stay reserved and only extra demand adds gaps.
-        linearization: height model should flexible modules resize.
-        backend: LP backend for the topology re-solve.
 
     Returns:
         The :class:`AdjustedFloorplan`.
@@ -115,9 +110,7 @@ def adjust_floorplan(placements: Mapping[str, Placement],
     relations = derive_relations(placement_list, gap_fn=gap_fn)
     topo = optimize_topology(placement_list, relations,
                              max_chip_width=None,
-                             resize_flexible=False,
-                             linearization=linearization,
-                             backend=backend)
+                             resize_flexible=False)
     chip = Rect(0.0, 0.0, topo.chip_width, topo.chip_height)
     return AdjustedFloorplan(
         placements={p.name: p for p in topo.placements},

@@ -35,8 +35,8 @@ DEFAULT_PRELIMINARY_TRACKS = 4.0
 
 def provide_routing_space(placements: Mapping[str, Placement],
                           technology: Technology, *,
-                          tracks: float = DEFAULT_PRELIMINARY_TRACKS,
-                          backend: str = "highs") -> dict[str, Placement]:
+                          tracks: float = DEFAULT_PRELIMINARY_TRACKS
+                          ) -> dict[str, Placement]:
     """Open uniform preliminary channels between adjacent modules.
 
     Every module pair that shares a corridor (overlapping spans on the
@@ -62,8 +62,7 @@ def provide_routing_space(placements: Mapping[str, Placement],
 
     relations = derive_relations(placement_list, gap_fn=gap_fn)
     topo = optimize_topology(placement_list, relations,
-                             max_chip_width=None, resize_flexible=False,
-                             backend=backend)
+                             max_chip_width=None, resize_flexible=False)
     return {p.name: p for p in topo.placements}
 
 
@@ -117,8 +116,7 @@ def route_and_adjust(placements: Mapping[str, Placement], chip: Rect,
                      mode: RouterMode = RouterMode.WEIGHTED,
                      preliminary_tracks: float = DEFAULT_PRELIMINARY_TRACKS,
                      use_preliminary_spread: bool | None = None,
-                     congestion_penalty: float = 4.0,
-                     backend: str = "highs") -> RoutedFloorplan:
+                     congestion_penalty: float = 4.0) -> RoutedFloorplan:
     """Run the full routing flow: provide space, route, adjust, re-route.
 
     Args:
@@ -134,7 +132,6 @@ def route_and_adjust(placements: Mapping[str, Placement], chip: Rect,
             first).  Defaults to spreading exactly when the placements carry
             no envelope margins.
         congestion_penalty: router penalty weight in WEIGHTED mode.
-        backend: LP backend for spreading/adjustment.
 
     Returns:
         The :class:`RoutedFloorplan`.
@@ -157,8 +154,7 @@ def route_and_adjust(placements: Mapping[str, Placement], chip: Rect,
         use_preliminary_spread = not has_margins
     if use_preliminary_spread:
         current = provide_routing_space(current, technology,
-                                        tracks=preliminary_tracks,
-                                        backend=backend)
+                                        tracks=preliminary_tracks)
 
     work_chip = _chip_of(current)
     graph = build_channel_graph(list(current.values()), work_chip, technology)
@@ -166,8 +162,7 @@ def route_and_adjust(placements: Mapping[str, Placement], chip: Rect,
                           congestion_penalty=congestion_penalty)
     preliminary = router.route(netlist.nets, current)
 
-    adjustment = adjust_floorplan(current, graph, preliminary, technology,
-                                  backend=backend)
+    adjustment = adjust_floorplan(current, graph, preliminary, technology)
     final_placements = adjustment.placements
     final_chip = adjustment.chip
 

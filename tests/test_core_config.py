@@ -45,9 +45,23 @@ class TestConfig:
                           {"wirelength_weight": math.nan},
                           {"wirelength_weight": -5.0},
                           {"eco_margin": math.inf},
-                          {"eco_quality_bound": math.nan}):
+                          {"eco_quality_bound": math.nan},
+                          {"int_tol": math.nan}, {"int_tol": -1e-6},
+                          {"mip_rel_gap": -0.5}, {"mip_rel_gap": math.inf},
+                          {"subproblem_time_limit": 0.0},
+                          {"subproblem_time_limit": math.nan}):
             with pytest.raises(ValueError):
                 FloorplanConfig(**overrides)
+        # A fractional count reaches a slice or range() of the run.
+        for name in ("seed_size", "group_size", "relinearization_rounds",
+                     "node_limit", "eco_max_levels"):
+            with pytest.raises(TypeError, match=name):
+                FloorplanConfig(**{name: 2.5})
+            with pytest.raises(TypeError, match=name):
+                FloorplanConfig(**{name: True})
+        # None keeps the time limit and the node limit off.
+        FloorplanConfig(subproblem_time_limit=None, node_limit=None,
+                        mip_rel_gap=0.0)
 
     def test_resolved_chip_width_explicit(self):
         cfg = FloorplanConfig(chip_width=42.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import Linearization
+from repro.core.flexible import linearize_at
 from repro.core.placement import Placement
 from repro.core.topology import Relation, derive_relations, optimize_topology
 from repro.geometry.rect import Rect, any_overlap
@@ -112,10 +112,13 @@ class TestOptimizeTopology:
             fixed.chip_width * fixed.chip_height + 1e-6
 
     def test_flexible_area_preserved(self):
+        """Under the default secant and under a tangent the map names."""
         flex = _place("f", 0, 0, 4, 4, flexible=True)
-        result = optimize_topology([flex], resize_flexible=True,
-                                   linearization=Linearization.SECANT)
-        assert result.placements[0].rect.area == pytest.approx(16.0, rel=1e-6)
+        for tangents in (None, {"f": linearize_at(flex.module, 3.0)}):
+            result = optimize_topology([flex], resize_flexible=True,
+                                       flex_linearizations=tangents)
+            assert result.placements[0].rect.area == \
+                pytest.approx(16.0, rel=1e-6)
 
     def test_cyclic_relations_raise(self):
         placements = [_place("a", 0, 0, 2, 2), _place("b", 3, 0, 2, 2),

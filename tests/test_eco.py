@@ -347,6 +347,25 @@ class TestProvenance:
         assert windowed[0].n_obstacles > 0
         assert windowed[0].n_binaries > 0
 
+    def test_windowed_rung_solves_under_its_shape(self, baseline,
+                                                  monkeypatch):
+        """A windowed rung goes through the augmentation step's window
+        solve, and every solve it makes carries the rung's ``(window,
+        frozen)`` shape, which keys it apart from a cold solve."""
+        import repro.core.augmentation as augmentation
+
+        shapes = []
+
+        def recorded(model, **kwargs):
+            shapes.append(kwargs["context"].eco)
+            return solve(model, **kwargs)
+
+        monkeypatch.setattr(augmentation, "solve", recorded)
+        result = solve_eco(baseline, windowed_resize(baseline))
+        windowed = [a for a in result.attempts if a.kind == "window"]
+        assert windowed and shapes
+        assert set(shapes) == {(len(a.window), a.n_frozen) for a in windowed}
+
 
 # ---------------------------------------------------------------------------
 # direct-vs-service parity

@@ -14,7 +14,9 @@ must equal exactly:
 * ``optimize_topology`` builds its relation and chip rows as one block; the
   reference builds each row with the ``LinExpr`` algebra.  The standard
   forms must be equal array for array, and the rows must carry the same
-  names and senses.
+  names and senses, under each flexible height model the LP is given: the
+  default secant, the paper's tangent, or a tangent about a width in range
+  (the model ``refine_shapes`` hands it each round).
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from scipy import sparse
 
 import repro.core.topology as topology
 from repro.core.config import Linearization
-from repro.core.flexible import linearize
+from repro.core.flexible import linearize, linearize_at
 from repro.core.placement import Placement
+from repro.core.shape_refine import refine_shapes
 from repro.core.topology import derive_relations, optimize_topology
 from repro.geometry.rect import Rect
 from repro.milp.cache import BLOB_VERSION, canonical_form_key, canonical_form_text
@@ -94,8 +97,10 @@ def reference_form_text(form: StandardForm, context: tuple = ()) -> str:
 
 def reference_topology_model(placements, relations, *, max_chip_width=None,
                              resize_flexible=True, fixed_names=frozenset(),
-                             linearization=Linearization.SECANT) -> Model:
-    """The given-topology LP with one ``LinExpr`` comparison per row."""
+                             flex_linearizations=None) -> Model:
+    """The given-topology LP with one ``LinExpr`` comparison per row; a
+    flexible module ``flex_linearizations`` does not name takes the
+    secant."""
     model = Model("topology_lp")
     current_w = max((p.envelope.x2 for p in placements), default=1.0)
     current_h = max((p.envelope.y2 for p in placements), default=1.0)
@@ -119,7 +124,10 @@ def reference_topology_model(placements, relations, *, max_chip_width=None,
         margin_w = p.envelope.w - p.rect.w
         margin_h = p.envelope.h - p.rect.h
         if p.module.flexible and resize_flexible:
-            flex = linearize(p.module, linearization)
+            if flex_linearizations and name in flex_linearizations:
+                flex = flex_linearizations[name]
+            else:
+                flex = linearize(p.module, Linearization.SECANT)
             dw = model.add_continuous(f"dw[{name}]", lb=0.0, ub=flex.dw_max)
             env_widths[name] = LinExpr({dw: -1.0}, flex.w_max + margin_w)
             env_heights[name] = LinExpr({dw: flex.slope}, flex.h0 + margin_h)
@@ -240,13 +248,15 @@ class _Built(Exception):
     """Carries the model ``optimize_topology`` built, in place of a solve."""
 
 
-def built_topology_model(placements, relations, **kwargs) -> Model:
+def built_topology_model(run, *args, **kwargs) -> Model:
+    """The model ``run(*args, **kwargs)`` hands ``optimize_topology``'s
+    solve first."""
     def capture(model, **_solve_kwargs):
         raise _Built(model)
 
     with mock.patch.object(topology, "solve", capture):
         with pytest.raises(_Built) as built:
-            optimize_topology(placements, relations, **kwargs)
+            run(*args, **kwargs)
     return built.value.args[0]
 
 
@@ -266,16 +276,27 @@ def _assert_same_model(got: Model, want: Model) -> None:
 @st.composite
 def topology_cases(draw):
     """Random rigid and flexible placements (overlaps allowed, some with
-    envelope margins), pinned modules, and per-pair gaps."""
+    envelope margins), pinned modules, per-pair gaps, and each flexible
+    module's height model: the default secant (not in the map), the
+    tangent at its widest shape, or a tangent about a width in range."""
     n = draw(st.integers(min_value=1, max_value=7))
     size = st.floats(min_value=0.5, max_value=6.0)
     spot = st.floats(min_value=0.0, max_value=20.0)
     placements = []
+    flex_linearizations = {}
     for i in range(n):
         w, h, x, y = draw(size), draw(size), draw(spot), draw(spot)
         if draw(st.booleans()):
             module = Module.flexible_area(f"m{i}", w * h, aspect_low=0.25,
                                           aspect_high=4.0)
+            height_model = draw(st.sampled_from(["secant", "tangent", "at"]))
+            if height_model == "tangent":
+                flex_linearizations[module.name] = linearize(
+                    module, Linearization.TANGENT)
+            elif height_model == "at":
+                flex_linearizations[module.name] = linearize_at(
+                    module, draw(st.floats(min_value=module.width_min,
+                                           max_value=module.width_max)))
         else:
             module = Module.rigid(f"m{i}", w, h)
         margin = draw(st.sampled_from([0.0, 0.25, 1.0]))
@@ -288,7 +309,7 @@ def topology_cases(draw):
     options = dict(
         max_chip_width=draw(st.one_of(st.none(), st.floats(1.0, 50.0))),
         resize_flexible=draw(st.booleans()), fixed_names=fixed,
-        linearization=draw(st.sampled_from(list(Linearization))))
+        flex_linearizations=flex_linearizations)
     return placements, gaps, options
 
 
@@ -305,9 +326,25 @@ class TestTopologyParity:
 
         relations = derive_relations(placements, gap_fn=gap_fn)
         assert calls == [(r.first, r.second, r.axis) for r in relations]
-        got = built_topology_model(placements, relations, **options)
+        got = built_topology_model(optimize_topology, placements, relations,
+                                   **options)
         want = reference_topology_model(placements, relations, **options)
         _assert_same_model(got, want)
+
+    def test_refinement_round_is_the_topology_lp(self):
+        """``refine_shapes`` solves ``optimize_topology``'s LP with each
+        flexible module's tangent about its current width."""
+        rigid = Placement(Module.rigid("r", 2.0, 10.0),
+                          Rect(0.0, 0.0, 2.0, 10.0))
+        flex = Placement(Module.flexible_area("f", 36.0, aspect_low=0.25,
+                                              aspect_high=4.0),
+                         Rect(2.0, 0.0, 6.0, 6.0))
+        placements = [rigid, flex]
+        got = built_topology_model(refine_shapes, placements,
+                                   max_chip_width=7.5)
+        _assert_same_model(got, reference_topology_model(
+            placements, derive_relations(placements), max_chip_width=7.5,
+            flex_linearizations={"f": linearize_at(flex.module, 6.0)}))
 
     def test_unknown_module_still_rejected(self):
         placements = [Placement(Module.rigid("a", 1.0, 1.0),

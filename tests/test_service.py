@@ -333,12 +333,28 @@ class TestHttpContracts:
         {"whitespace_factor": math.inf},
         {"outline": [math.nan, 5.0]},
         {"wirelength_weight": -5.0, "objective": "area+wirelength"},
+        {"int_tol": math.nan, "backend": "bnb"},
+        {"int_tol": math.inf},
+        {"mip_rel_gap": -0.5},
+        {"mip_rel_gap": math.nan},
+        {"subproblem_time_limit": 0.0},
+        {"subproblem_time_limit": math.inf},
+        {"seed_size": 2.5},
+        {"group_size": 1.5},
+        {"relinearization_rounds": 0.5},
+        {"node_limit": 10.5},
+        {"eco_max_levels": 1.5},
     ], ids=["nan-chip-width", "infinite-whitespace", "nan-outline",
-            "negative-wirelength-weight"])
+            "negative-wirelength-weight", "nan-int-tol", "infinite-int-tol",
+            "negative-gap", "nan-gap", "zero-time-limit",
+            "infinite-time-limit", "fractional-seed-size",
+            "fractional-group-size", "fractional-relinearization-rounds",
+            "fractional-node-limit", "fractional-eco-max-levels"])
     def test_config_that_can_only_fail(self, tiny_netlist, config):
         """A config whose run is sure to fail (an infeasible or unbounded
-        window) is rejected at submit time.  The server's ``json.loads``
-        parses NaN and Infinity."""
+        window, a solve under a NaN tolerance, a fractional count that
+        reaches a slice or ``range()``) is rejected at submit time.  The
+        server's ``json.loads`` parses NaN and Infinity."""
         with running_service() as (_service, client):
             code, doc = client.submit(
                 _floorplan_submission(tiny_netlist, **config))
