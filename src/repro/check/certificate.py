@@ -178,16 +178,11 @@ def check_certificate(model: Model, solution: Solution, *,
         return report
 
     n = len(form.variables)
-    x = np.full(n, math.nan)
-    for j, var in enumerate(form.variables):
-        value = solution.values.get(var)
-        if value is None:
-            report.violations.append(Violation(
-                "missing-value", var.name, math.inf,
-                f"status {solution.status.value} claims a solution but "
-                f"variable {var.name!r} has no value"))
-        else:
-            x[j] = float(value)
+    try:
+        x = np.fromiter(map(solution.values.__getitem__, form.variables),
+                        dtype=np.float64, count=n)
+    except (KeyError, TypeError, ValueError):
+        x = _named_values(form, solution, report)
     if np.isnan(x).any():
         return report
     report.n_variables = n
@@ -201,42 +196,65 @@ def check_certificate(model: Model, solution: Solution, *,
     return report
 
 
+def _named_values(form: StandardForm, solution: Solution,
+                  report: CertificateReport) -> np.ndarray:
+    """The solution's values one variable at a time, naming each variable
+    that has none (NaN in its place)."""
+    x = np.full(len(form.variables), math.nan)
+    for j, var in enumerate(form.variables):
+        value = solution.values.get(var)
+        if value is None:
+            report.violations.append(Violation(
+                "missing-value", var.name, math.inf,
+                f"status {solution.status.value} claims a solution but "
+                f"variable {var.name!r} has no value"))
+        else:
+            x[j] = float(value)
+    return x
+
+
 def _check_variable_bounds(form: StandardForm, x: np.ndarray,
                            feas_tol: float, report: CertificateReport) -> None:
-    for j, var in enumerate(form.variables):
-        scale = 1.0 + abs(x[j])
-        below = form.lb[j] - x[j]
-        above = x[j] - form.ub[j]
-        worst = max(below, above)
-        if worst > feas_tol * scale:
-            report.violations.append(Violation(
-                "variable-bound", var.name, worst,
-                f"{var.name} = {x[j]:.9g} outside "
-                f"[{form.lb[j]:.9g}, {form.ub[j]:.9g}]"))
+    below = form.lb - x
+    above = x - form.ub
+    worst = np.where(above > below, above, below)
+    for j in (worst > feas_tol * (1.0 + np.abs(x))).nonzero()[0].tolist():
+        var = form.variables[j]
+        report.violations.append(Violation(
+            "variable-bound", var.name, worst[j],
+            f"{var.name} = {x[j]:.9g} outside "
+            f"[{form.lb[j]:.9g}, {form.ub[j]:.9g}]"))
 
 
 def _check_integrality(form: StandardForm, x: np.ndarray, int_tol: float,
                        report: CertificateReport) -> None:
-    int_cols = np.flatnonzero(form.integrality == 1)
-    for j in int_cols:
-        drift = abs(x[j] - round(x[j]))
-        if drift > int_tol:
-            report.violations.append(Violation(
-                "integrality", form.variables[j].name, drift,
-                f"{form.variables[j].name} = {x[j]:.9g} is {drift:.3g} "
-                f"from the nearest integer (int_tol {int_tol:g})"))
+    int_cols = (form.integrality == 1).nonzero()[0]
+    drift = np.abs(x[int_cols] - np.rint(x[int_cols]))
+    # An infinite value has no nearest integer: its NaN drift is flagged.
+    bad = ~(drift <= int_tol)
+    for j, d in zip(int_cols[bad].tolist(), drift[bad]):
+        name = form.variables[j].name
+        report.violations.append(Violation(
+            "integrality", name, d,
+            f"{name} = {x[j]:.9g} is {d:.3g} "
+            f"from the nearest integer (int_tol {int_tol:g})"))
 
 
 def _check_rows(form: StandardForm, x: np.ndarray, model: Model,
                 feas_tol: float, report: CertificateReport) -> None:
-    activity = form.a_matrix @ x
-    abs_matrix = form.a_matrix.copy()
-    abs_matrix.data = np.abs(abs_matrix.data)
-    scale = 1.0 + abs_matrix @ np.abs(x)
+    # Each row's activity and its scale 1 + sum |a_ij x_j| accumulate the
+    # row's stored terms in order, as a CSR matrix-vector product does.
+    a = form.a_matrix.tocsr()
+    n_rows = a.shape[0]
+    row_of = np.arange(n_rows).repeat(a.indptr[1:] - a.indptr[:-1])
+    terms = a.data * x[a.indices]
+    activity = np.bincount(row_of, weights=terms, minlength=n_rows)
+    scale = 1.0 + np.bincount(row_of, weights=np.abs(terms),
+                              minlength=n_rows)
     below = form.row_lb - activity
     above = activity - form.row_ub
     residual = np.maximum(below, above)
-    failed = np.flatnonzero(residual > feas_tol * scale)
+    failed = (residual > feas_tol * scale).nonzero()[0]
     if failed.size == 0:
         return
     # Naming a row materializes every row-block row as a Constraint, so a

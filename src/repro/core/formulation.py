@@ -43,7 +43,7 @@ from repro.core.flexible import FlexLinearization, linearize
 from repro.core.placement import EnvelopeMargins, Placement
 from repro.geometry.rect import GEOM_EPS, Rect
 from repro.milp.expr import LinExpr, Variable, lin_sum
-from repro.milp.model import Model
+from repro.milp.model import Model, Sense
 from repro.milp.solution import Solution
 from repro.netlist.module import Module
 
@@ -51,6 +51,40 @@ from repro.netlist.module import Module
 #: Windows of up to this many modules try every module order in the
 #: skyline warm start (24 orders at 4 modules).
 _ALL_ORDERS_UP_TO = 4
+
+_LE, _GE, _EQ = Sense.LE, Sense.GE, Sense.EQ
+
+
+class _RowBlock:
+    """The rows of one constraint family, collected as flat column and
+    value lists — every row the same number of terms wide, column -1
+    padding a shorter row — and added to the model as one row block."""
+
+    __slots__ = ("names", "senses", "rhs", "cols", "vals")
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.senses: list[Sense] = []
+        self.rhs: list[float] = []
+        self.cols: list[int] = []
+        self.vals: list[float] = []
+
+    def add(self, names: Sequence[str], senses: Sequence[Sense],
+            rhs: Sequence[float], cols: Sequence[int],
+            vals: Sequence[float]) -> None:
+        """Append rows: their names, senses and right-hand sides, and
+        their terms' columns and coefficients, row after row."""
+        self.names += names
+        self.senses += senses
+        self.rhs += rhs
+        self.cols += cols
+        self.vals += vals
+
+    def append_to(self, model: Model) -> None:
+        """Add the collected rows to ``model``."""
+        if self.names:
+            model.add_row_block(self.cols, self.vals, self.senses,
+                                self.rhs, self.names)
 
 
 @dataclass
@@ -219,9 +253,10 @@ class SubproblemBuilder:
 
         for module in window:
             self._add_window_module(module)
-        self._add_pairwise_non_overlap()
-        self._add_obstacle_non_overlap(prune_floor_obstacles)
-        self._add_chip_bounds()
+        modules = self._module_terms()
+        self._add_pairwise_non_overlap(modules)
+        self._add_obstacle_non_overlap(modules, prune_floor_obstacles)
+        self._add_chip_bounds(modules)
         if config.objective is Objective.AREA_WIRELENGTH:
             self._add_wirelength(pair_weights or {}, anchors)
         self._add_length_bounds(pair_length_bounds, anchor_length_bounds)
@@ -294,244 +329,179 @@ class SubproblemBuilder:
             min_width=min_width, min_height=min_height,
             rotation=rotation, dw=dw, flex=flex)
 
-    @staticmethod
-    def _affine1(expr: LinExpr) -> tuple[Variable | None, float, float]:
-        """Split a width/height expression (at most one variable term) into
-        ``(var, coefficient, constant)``."""
-        if not expr.terms:
-            return None, 0.0, expr.constant
-        (var, coef), = expr.terms.items()
-        return var, coef, expr.constant
+    def _module_terms(self) -> list[tuple]:
+        """Per window module, in window order: its name, its ``x`` and
+        ``y`` columns, its width and its height as ``(column, coefficient,
+        constant)`` (column -1 and coefficient 0 where the dimension is
+        fixed), and its minimum width and height."""
+        def affine(expr: LinExpr) -> tuple[int, float, float]:
+            if not expr.terms:
+                return -1, 0.0, expr.constant
+            (var, coef), = expr.terms.items()
+            return var.index, coef, expr.constant
 
-    def _non_overlap_rows(self, tag: str, wi: _WindowModule,
-                          p: Variable, q: Variable, *,
-                          wj: _WindowModule | None = None,
-                          obs: Rect | None = None) -> None:
-        """The four eq. (2) big-M disjunction rows as one ``add_rows`` block.
+        return [(name, wm.x.index, wm.y.index, *affine(wm.width),
+                 *affine(wm.height), wm.min_width, wm.min_height)
+                for name, wm in self._window.items()]
 
-        Covers both the pair case (``wj``: left/right/below/above between
-        two window modules) and the obstacle case (``obs``: the second
-        rectangle is constant, so its geometry moves into the right-hand
-        sides).  Coefficients and right-hand sides reproduce the LinExpr
-        algebra bit-for-bit — the assembly parity tests compare the two
-        paths on whole golden subproblems.
+    def _add_pairwise_non_overlap(self, modules: list[tuple]) -> None:
+        """Eq. (2) between every two window modules, as one row block.
+
+        Big-M encoding: two binaries ``(p, q)`` per pair pick the one
+        active row of four.  Unary encoding: a one-hot choice over the
+        four separating directions, each direction's big-M row deactivated
+        by its own indicator, plus the Huchette–Dey–Vielma-style valid
+        inequalities — indicator-scaled position lower bounds (``x_j >=
+        min_w_i * left``) and chip-packing cuts that pull the chip-extent
+        variables up in the LP relaxation (``y_i + h_i + min_h_j * below
+        <= y``).  All of them reason over *minimum* effective dimensions,
+        so they hold for every rotation / flexible-width choice.
         """
+        pairs = list(itertools.combinations(modules, 2))
+        if not pairs:
+            return
+        unary = self.config.formulation == "unary"
+        directions = ("left", "right", "below", "above") if unary \
+            else ("p", "q")
+        per = len(directions)
+        binaries = self.model.add_binaries(
+            [f"{d}[{a[0]},{b[0]}]" for a, b in pairs for d in directions])
         mw, mh = self._width_big_m, self._height_big_m
-        wvar_i, wc_i, w0_i = self._affine1(wi.width)
-        hvar_i, hc_i, h0_i = self._affine1(wi.height)
-        rows: list[dict[Variable, float]] = []
-        rhs: list[float] = []
-        senses: list[str] = []
-
-        def row(terms: list[tuple[Variable | None, float]], b: float,
-                sense: str = "<=") -> None:
-            rows.append({var: coef for var, coef in terms if var is not None})
-            rhs.append(b)
-            senses.append(sense)
-
-        if wj is not None:
-            wvar_j, wc_j, w0_j = self._affine1(wj.width)
-            hvar_j, hc_j, h0_j = self._affine1(wj.height)
-            row([(wi.x, 1.0), (wvar_i, wc_i), (wj.x, -1.0),
-                 (p, -mw), (q, -mw)], -w0_i)
-            row([(wj.x, 1.0), (wvar_j, wc_j), (wi.x, -1.0),
-                 (p, mw), (q, -mw)], mw - w0_j)
-            row([(wi.y, 1.0), (hvar_i, hc_i), (wj.y, -1.0),
-                 (p, -mh), (q, mh)], mh - h0_i)
-            row([(wj.y, 1.0), (hvar_j, hc_j), (wi.y, -1.0),
-                 (p, mh), (q, mh)], 2.0 * mh - h0_j)
-        else:
-            assert obs is not None
-            # The "constant <= expr" rows arrive through the reflected
-            # comparison in the scalar algebra, i.e. as >= rows with the
-            # window module's variables on the positive side — keep that
-            # exact orientation so the two build paths stay byte-identical.
-            row([(wi.x, 1.0), (wvar_i, wc_i), (p, -mw), (q, -mw)],
-                obs.x - w0_i)
-            row([(wi.x, 1.0), (p, -mw), (q, mw)], obs.x2 - mw, ">=")
-            row([(wi.y, 1.0), (hvar_i, hc_i), (p, -mh), (q, mh)],
-                mh + obs.y - h0_i)
-            row([(wi.y, 1.0), (p, -mh), (q, -mh)], obs.y2 - 2.0 * mh, ">=")
-
-        self.model.add_rows(
-            rows, senses, rhs,
-            [f"no[{tag}]:left", f"no[{tag}]:right",
-             f"no[{tag}]:below", f"no[{tag}]:above"])
-
-    def _unary_binaries(self, tag: str
-                        ) -> tuple[Variable, Variable, Variable, Variable]:
-        """The four one-hot direction indicators of the unary encoding."""
-        return (self.model.add_binary(f"left[{tag}]"),
-                self.model.add_binary(f"right[{tag}]"),
-                self.model.add_binary(f"below[{tag}]"),
-                self.model.add_binary(f"above[{tag}]"))
-
-    def _unary_rows(self, tag: str, specs: list[tuple[
-            list[tuple[Variable | None, float]], float, str]],
-            names: list[str]) -> None:
-        """Emit one block of unary-encoding rows (the same ``add_rows``
-        path as the big-M block builder)."""
-        rows = [{var: coef for var, coef in terms
-                 if var is not None and coef != 0.0}
-                for terms, _b, _sense in specs]
-        self.model.add_rows(rows, [sense for _t, _b, sense in specs],
-                            [b for _t, b, _sense in specs], names)
-
-    def _unary_pair_rows(self, tag: str, wi: _WindowModule, wj: _WindowModule,
-                         z: tuple[Variable, Variable, Variable, Variable]
-                         ) -> None:
-        """The unary encoding of one window-module pair.
-
-        One-hot choice over the four separating directions, each direction's
-        big-M row deactivated by its own indicator, plus the
-        Huchette–Dey–Vielma-style valid inequalities: indicator-scaled
-        position lower bounds (``x_j >= min_w_i * left``) and chip-packing
-        cuts that pull the chip-extent variables up in the LP relaxation
-        (``y_i + h_i + min_h_j * below <= y``).  All inequalities reason
-        over *minimum* effective dimensions, so they hold for every
-        rotation / flexible-width choice.
-        """
-        zl, zr, zb, za = z
-        mw, mh = self._width_big_m, self._height_big_m
-        wvar_i, wc_i, w0_i = self._affine1(wi.width)
-        hvar_i, hc_i, h0_i = self._affine1(wi.height)
-        wvar_j, wc_j, w0_j = self._affine1(wj.width)
-        hvar_j, hc_j, h0_j = self._affine1(wj.height)
-        wv = self.width_var
         cap = self._chip_width_cap
-        specs: list[tuple[list[tuple[Variable | None, float]], float, str]] = [
-            ([(zl, 1.0), (zr, 1.0), (zb, 1.0), (za, 1.0)], 1.0, "=="),
-            ([(wi.x, 1.0), (wvar_i, wc_i), (wj.x, -1.0), (zl, mw)],
-             mw - w0_i, "<="),
-            ([(wj.x, 1.0), (wvar_j, wc_j), (wi.x, -1.0), (zr, mw)],
-             mw - w0_j, "<="),
-            ([(wi.y, 1.0), (hvar_i, hc_i), (wj.y, -1.0), (zb, mh)],
-             mh - h0_i, "<="),
-            ([(wj.y, 1.0), (hvar_j, hc_j), (wi.y, -1.0), (za, mh)],
-             mh - h0_j, "<="),
-        ]
-        names = [f"no[{tag}]:onehot", f"no[{tag}]:left", f"no[{tag}]:right",
-                 f"no[{tag}]:below", f"no[{tag}]:above"]
-        self._unary_rows(tag, specs, names)
-
-        cuts: list[tuple[list[tuple[Variable | None, float]], float, str]] = []
-        cut_names: list[str] = []
-        for dir_name, zv, other, min_dim in (
-                ("left", zl, wj.x, wi.min_width),
-                ("right", zr, wi.x, wj.min_width),
-                ("below", zb, wj.y, wi.min_height),
-                ("above", za, wi.y, wj.min_height)):
-            if min_dim > GEOM_EPS:
-                cuts.append(([(other, 1.0), (zv, -min_dim)], 0.0, ">="))
-                cut_names.append(f"vi[{tag}]:{dir_name}")
-        # Chip-packing cuts: when the pair separates along an axis, both
-        # extents stack inside the chip along it.
-        for dir_name, zv, wm, other_min in (("left", zl, wi, wj.min_width),
-                                            ("right", zr, wj, wi.min_width)):
-            wvar, wc, w0 = self._affine1(wm.width)
-            terms: list[tuple[Variable | None, float]] = [
-                (wm.x, 1.0), (wvar, wc), (zv, other_min)]
-            if wv is not None:
-                terms.append((wv, -1.0))
-                cuts.append((terms, -w0, "<="))
-            else:
-                cuts.append((terms, cap - w0, "<="))
-            cut_names.append(f"vi[{tag}]:packw-{dir_name}")
-        for dir_name, zv, wm, other_min in (("below", zb, wi, wj.min_height),
-                                            ("above", za, wj, wi.min_height)):
-            hvar, hc, h0 = self._affine1(wm.height)
-            cuts.append(([(wm.y, 1.0), (hvar, hc), (zv, other_min),
-                          (self.height_var, -1.0)], -h0, "<="))
-            cut_names.append(f"vi[{tag}]:packh-{dir_name}")
-        if cuts:
-            self._unary_rows(tag, cuts, cut_names)
-
-    def _unary_obstacle_rows(self, tag: str, wm: _WindowModule, obs: Rect,
-                             z: tuple[Variable, Variable, Variable, Variable]
-                             ) -> None:
-        """The unary encoding of one module-vs-fixed-obstacle disjunction.
-
-        The obstacle's geometry is constant, so every direction gets the
-        *tightest* valid big-M: the ``right``/``above`` rows collapse to the
-        indicator-scaled bounds ``x >= obs.x2 * right`` / ``y >= obs.y2 *
-        above`` (their big-M equals the obstacle edge itself), and the
-        ``left``/``below`` rows are slack only by the remaining chip extent
-        beyond the obstacle — all strictly tighter than the global big-Ms of
-        the ``"bigm"`` encoding.
-        """
-        zl, zr, zb, za = z
-        wvar, wc, w0 = self._affine1(wm.width)
-        hvar, hc, h0 = self._affine1(wm.height)
-        ml = max(self._chip_width_cap - obs.x, 0.0)
-        mb = max(self._height_bound - obs.y, 0.0)
-        specs: list[tuple[list[tuple[Variable | None, float]], float, str]] = [
-            ([(zl, 1.0), (zr, 1.0), (zb, 1.0), (za, 1.0)], 1.0, "=="),
-            ([(wm.x, 1.0), (wvar, wc), (zl, ml)], obs.x + ml - w0, "<="),
-            ([(wm.x, 1.0), (zr, -obs.x2)], 0.0, ">="),
-            ([(wm.y, 1.0), (hvar, hc), (zb, mb)], obs.y + mb - h0, "<="),
-            ([(wm.y, 1.0), (za, -obs.y2)], 0.0, ">="),
-        ]
-        names = [f"no[{tag}]:onehot", f"no[{tag}]:left", f"no[{tag}]:right",
-                 f"no[{tag}]:below", f"no[{tag}]:above"]
-        self._unary_rows(tag, specs, names)
-
-    def _add_pairwise_non_overlap(self) -> None:
-        unary = self.config.formulation == "unary"
-        names = list(self._window)
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                wi = self._window[names[a]]
-                wj = self._window[names[b]]
-                pair = (wi.module.name, wj.module.name)
-                tag = f"{wi.module.name}|{wj.module.name}"
-                side_by_side_dead = self._prune_dominated and \
-                    wi.min_width + wj.min_width > self._chip_width_cap + GEOM_EPS
-                if unary:
-                    z = self._unary_binaries(f"{pair[0]},{pair[1]}")
-                    self._pair_unary[pair] = z
-                    self._unary_pair_rows(tag, wi, wj, z)
-                    if side_by_side_dead:
-                        # Both horizontal one-hot branches are dead: fixing
-                        # their indicators to 0 preserves the feasible set
-                        # exactly and lets presolve drop the columns.
-                        z[0].ub = 0.0
-                        z[1].ub = 0.0
-                    continue
-                p = self.model.add_binary(f"p[{wi.module.name},{wj.module.name}]")
-                q = self.model.add_binary(f"q[{wi.module.name},{wj.module.name}]")
-                self._pair_binaries[pair] = (p, q)
-                self._non_overlap_rows(tag, wi, p, q, wj=wj)
+        width_var = -1 if self.width_var is None else self.width_var.index
+        chip_h = self.height_var.index
+        block = _RowBlock()
+        for k, ((ni, xi, yi, wi, wci, w0i, hi, hci, h0i, min_wi, min_hi),
+                (nj, xj, yj, wj, wcj, w0j, hj, hcj, h0j, min_wj, min_hj)) \
+                in enumerate(pairs):
+            tag = f"{ni}|{nj}"
+            z = binaries[per * k:per * (k + 1)]
+            first = z[0].index
+            # The pair cannot sit side by side inside the chip even at
+            # minimum widths: both horizontal branches are dead.
+            side_by_side_dead = self._prune_dominated and \
+                min_wi + min_wj > cap + GEOM_EPS
+            if not unary:
+                p, q = first, first + 1
+                self._pair_binaries[(ni, nj)] = (z[0], z[1])
+                block.add(
+                    (f"no[{tag}]:left", f"no[{tag}]:right",
+                     f"no[{tag}]:below", f"no[{tag}]:above"),
+                    (_LE, _LE, _LE, _LE),
+                    (-w0i, mw - w0j, mh - h0i, 2.0 * mh - h0j),
+                    (xi, wi, xj, p, q, xj, wj, xi, p, q,
+                     yi, hi, yj, p, q, yj, hj, yi, p, q),
+                    (1.0, wci, -1.0, -mw, -mw, 1.0, wcj, -1.0, mw, -mw,
+                     1.0, hci, -1.0, -mh, mh, 1.0, hcj, -1.0, mh, mh))
                 if side_by_side_dead:
-                    # The pair cannot sit side by side inside the chip even
-                    # at minimum widths: both horizontal disjuncts are dead,
-                    # so every feasible point has q = 1 (vertical
-                    # separation).  Fixing the bound preserves the feasible
-                    # set exactly and lets presolve drop the column.
-                    q.lb = 1.0
+                    # Every feasible point has q = 1 (vertical separation):
+                    # fixing the bound preserves the feasible set exactly
+                    # and lets presolve drop the column.
+                    z[1].lb = 1.0
+                continue
+            zl, zr, zb, za = first, first + 1, first + 2, first + 3
+            self._pair_unary[(ni, nj)] = tuple(z)
+            block.add(
+                (f"no[{tag}]:onehot", f"no[{tag}]:left", f"no[{tag}]:right",
+                 f"no[{tag}]:below", f"no[{tag}]:above"),
+                (_EQ, _LE, _LE, _LE, _LE),
+                (1.0, mw - w0i, mw - w0j, mh - h0i, mh - h0j),
+                (zl, zr, zb, za, xi, wi, xj, zl, xj, wj, xi, zr,
+                 yi, hi, yj, zb, yj, hj, yi, za),
+                (1.0, 1.0, 1.0, 1.0, 1.0, wci, -1.0, mw, 1.0, wcj, -1.0, mw,
+                 1.0, hci, -1.0, mh, 1.0, hcj, -1.0, mh))
+            for direction, other, zv, min_dim in (
+                    ("left", xj, zl, min_wi), ("right", xi, zr, min_wj),
+                    ("below", yj, zb, min_hi), ("above", yi, za, min_hj)):
+                if min_dim > GEOM_EPS:
+                    block.add((f"vi[{tag}]:{direction}",), (_GE,), (0.0,),
+                              (other, zv, -1, -1), (1.0, -min_dim, 0.0, 0.0))
+            # Chip-packing cuts: when the pair separates along an axis,
+            # both extents stack inside the chip along it.
+            if width_var >= 0:
+                packw_i, packw_j = -w0i, -w0j
+            else:
+                packw_i, packw_j = cap - w0i, cap - w0j
+            block.add(
+                (f"vi[{tag}]:packw-left", f"vi[{tag}]:packw-right",
+                 f"vi[{tag}]:packh-below", f"vi[{tag}]:packh-above"),
+                (_LE, _LE, _LE, _LE),
+                (packw_i, packw_j, -h0i, -h0j),
+                (xi, wi, zl, width_var, xj, wj, zr, width_var,
+                 yi, hi, zb, chip_h, yj, hj, za, chip_h),
+                (1.0, wci, min_wj, -1.0, 1.0, wcj, min_wi, -1.0,
+                 1.0, hci, min_hj, -1.0, 1.0, hcj, min_hi, -1.0))
+            if side_by_side_dead:
+                # Both horizontal one-hot branches are dead: fixing their
+                # indicators to 0 preserves the feasible set exactly.
+                z[0].ub = 0.0
+                z[1].ub = 0.0
+        block.append_to(self.model)
 
-    def _add_obstacle_non_overlap(self, prune_floor: bool) -> None:
+    def _add_obstacle_non_overlap(self, modules: list[tuple],
+                                  prune_floor: bool) -> None:
+        """Eq. (2) between every window module and every obstacle, with
+        the dominance cuts, as one row block (module-major).
+
+        The obstacle is constant, so its geometry moves into the
+        right-hand sides; the big-M encoding's "constant <= expr" rows
+        keep the orientation of the reflected comparison (>= rows, the
+        module's variables positive).  The unary encoding gives every
+        direction the *tightest* valid big-M: the ``right``/``above`` rows
+        collapse to the indicator-scaled bounds ``x >= obs.x2 * right`` /
+        ``y >= obs.y2 * above`` (their big-M equals the obstacle edge
+        itself), and the ``left``/``below`` rows are slack only by the chip
+        extent beyond the obstacle.
+        """
+        if not self.obstacles:
+            return
         unary = self.config.formulation == "unary"
-        for name, wm in self._window.items():
-            for k, obs in enumerate(self.obstacles):
+        directions = ("left", "right", "below", "above") if unary \
+            else ("p", "q")
+        per = len(directions)
+        binaries = self.model.add_binaries(
+            [f"{d}[{m[0]},obs{k}]" for m in modules
+             for k in range(len(self.obstacles)) for d in directions])
+        mw, mh = self._width_big_m, self._height_big_m
+        cap = self._chip_width_cap
+        prune = self._prune_dominated
+        obstacles = [(k, o.x, o.x2, o.y, o.y2, o.x + GEOM_EPS,
+                      o.y + GEOM_EPS, prune_floor and o.y <= GEOM_EPS)
+                     for k, o in enumerate(self.obstacles)]
+        block = _RowBlock()
+        start = 0
+        for name, x, y, w, wc, w0, h, hc, h0, min_w, min_h in modules:
+            for k, ox, ox2, oy, oy2, ox_eps, oy_eps, floor in obstacles:
                 tag = f"{name}|obs{k}"
+                z = binaries[start:start + per]
+                start += per
+                first = z[0].index
                 # Dominated relative-position branches: a branch whose
-                # geometry cannot be realized for any module shape is cut or
-                # (when a whole axis dies) fixed.  All three tests reason
-                # over *minimum* effective dimensions, so they hold for
-                # every rotation / flexible-width choice.
-                left_dead = self._prune_dominated \
-                    and wm.min_width > obs.x + GEOM_EPS
-                right_dead = self._prune_dominated \
-                    and obs.x2 + wm.min_width > self._chip_width_cap + GEOM_EPS
-                below_dead = (prune_floor and obs.y <= GEOM_EPS) or (
-                    self._prune_dominated
-                    and wm.min_height > obs.y + GEOM_EPS)
+                # geometry cannot be realized for any module shape is cut
+                # or (when a whole axis dies) fixed.  All three tests
+                # reason over *minimum* effective dimensions, so they hold
+                # for every rotation / flexible-width choice.
+                left_dead = prune and min_w > ox_eps
+                right_dead = prune and ox2 + min_w > cap + GEOM_EPS
+                below_dead = floor or (prune and min_h > oy_eps)
                 if unary:
-                    z = self._unary_binaries(f"{name},obs{k}")
-                    self._obstacle_unary[(name, k)] = z
-                    self._unary_obstacle_rows(tag, wm, obs, z)
-                    # Dead one-hot branches fix their indicators directly —
-                    # no cut rows needed in the unary encoding.
+                    self._obstacle_unary[(name, k)] = tuple(z)
+                    zl, zr, zb, za = first, first + 1, first + 2, first + 3
+                    ml = max(cap - ox, 0.0)
+                    mb = max(self._height_bound - oy, 0.0)
+                    block.add(
+                        (f"no[{tag}]:onehot", f"no[{tag}]:left",
+                         f"no[{tag}]:right", f"no[{tag}]:below",
+                         f"no[{tag}]:above"),
+                        (_EQ, _LE, _GE, _LE, _GE),
+                        (1.0, ox + ml - w0, 0.0, oy + mb - h0, 0.0),
+                        (zl, zr, zb, za, x, w, zl, -1, x, zr, -1, -1,
+                         y, h, zb, -1, y, za, -1, -1),
+                        (1.0, 1.0, 1.0, 1.0, 1.0, wc, ml, 0.0,
+                         1.0, -ox2, 0.0, 0.0, 1.0, hc, mb, 0.0,
+                         1.0, -oy2, 0.0, 0.0))
+                    # Dead one-hot branches fix their indicators directly
+                    # — no cut rows needed in the unary encoding.
                     if left_dead:
                         z[0].ub = 0.0
                     if right_dead:
@@ -539,52 +509,54 @@ class SubproblemBuilder:
                     if below_dead:
                         z[2].ub = 0.0
                     if left_dead and right_dead and below_dead:
-                        z[3].lb = 1.0  # only "module above obstacle" remains
+                        z[3].lb = 1.0  # only "module above obstacle"
                     continue
-                p = self.model.add_binary(f"p[{name},obs{k}]")
-                q = self.model.add_binary(f"q[{name},obs{k}]")
-                self._obstacle_binaries[(name, k)] = (p, q)
-                self._non_overlap_rows(tag, wm, p, q, obs=obs)
+                p, q = first, first + 1
+                self._obstacle_binaries[(name, k)] = (z[0], z[1])
+                block.add(
+                    (f"no[{tag}]:left", f"no[{tag}]:right",
+                     f"no[{tag}]:below", f"no[{tag}]:above"),
+                    (_LE, _GE, _LE, _GE),
+                    (ox - w0, ox2 - mw, mh + oy - h0, oy2 - 2.0 * mh),
+                    (x, w, p, q, x, -1, p, q, y, h, p, q, y, -1, p, q),
+                    (1.0, wc, -mw, -mw, 1.0, 0.0, -mw, mw,
+                     1.0, hc, -mh, mh, 1.0, 0.0, -mh, -mh))
                 if left_dead and right_dead:
                     # No horizontal branch fits: vertical separation forced.
-                    q.lb = 1.0
+                    z[1].lb = 1.0
                     if below_dead:
-                        p.lb = 1.0  # only "module above obstacle" remains
-                else:
-                    if left_dead:
-                        # Exclude (p, q) = (0, 0).
-                        self.model.add_constraint(
-                            p + q >= 1, name=f"cut[{tag}]:noleft")
-                    if right_dead:
-                        # Exclude (p, q) = (1, 0) with the valid cut p <= q.
-                        self.model.add_constraint(
-                            p.to_expr() <= q, name=f"cut[{tag}]:noright")
-                if below_dead and not (left_dead and right_dead):
+                        z[0].lb = 1.0  # only "module above obstacle"
+                    continue
+                if left_dead:
+                    # Exclude (p, q) = (0, 0) with the valid cut p + q >= 1.
+                    block.add((f"cut[{tag}]:noleft",), (_GE,), (1.0,),
+                              (p, q, -1, -1), (1.0, 1.0, 0.0, 0.0))
+                if right_dead:
+                    # Exclude (p, q) = (1, 0) with the valid cut p <= q.
+                    block.add((f"cut[{tag}]:noright",), (_LE,), (-0.0,),
+                              (p, q, -1, -1), (1.0, -1.0, 0.0, 0.0))
+                if below_dead:
                     # A module can never fit below this obstacle (a
                     # floor-level one, or one whose clearance is smaller
-                    # than the module's minimum height); exclude
-                    # (p, q) = (0, 1) with the valid cut q <= p.
-                    self.model.add_constraint(
-                        q.to_expr() <= p, name=f"cut[{tag}]:floor")
+                    # than the module's minimum height); exclude (p, q) =
+                    # (0, 1) with the valid cut q <= p.
+                    block.add((f"cut[{tag}]:floor",), (_LE,), (-0.0,),
+                              (q, p, -1, -1), (1.0, -1.0, 0.0, 0.0))
+        block.append_to(self.model)
 
-    def _add_chip_bounds(self) -> None:
-        for name, wm in self._window.items():
-            wvar, wc, w0 = self._affine1(wm.width)
-            hvar, hc, h0 = self._affine1(wm.height)
-            chipw: dict[Variable, float] = {wm.x: 1.0}
-            if wvar is not None:
-                chipw[wvar] = wc
-            if self.width_var is not None:
-                chipw[self.width_var] = -1.0
-                chipw_rhs = -w0
-            else:
-                chipw_rhs = self.chip_width - w0
-            chiph: dict[Variable, float] = {wm.y: 1.0, self.height_var: -1.0}
-            if hvar is not None:
-                chiph[hvar] = chiph.get(hvar, 0.0) + hc
-            self.model.add_rows(
-                [chipw, chiph], "<=", [chipw_rhs, -h0],
-                [f"chipw[{name}]", f"chiph[{name}]"])
+    def _add_chip_bounds(self, modules: list[tuple]) -> None:
+        """Eq. (3): every window module inside the chip — its width below
+        the chip width (the chip-width variable in PERIMETER mode), its top
+        below the chip height — as one row block."""
+        width_var = -1 if self.width_var is None else self.width_var.index
+        chip_h = self.height_var.index
+        block = _RowBlock()
+        for name, x, y, w, wc, w0, h, hc, h0, _min_w, _min_h in modules:
+            block.add((f"chipw[{name}]", f"chiph[{name}]"), (_LE, _LE),
+                      (-w0 if width_var >= 0 else self.chip_width - w0, -h0),
+                      (x, w, width_var, y, chip_h, h),
+                      (1.0, wc, -1.0, 1.0, -1.0, hc))
+        block.append_to(self.model)
 
     def _add_wirelength(self, pair_weights: Mapping[tuple[str, str], float],
                         anchors: Sequence[AnchorAttraction]) -> None:

@@ -19,6 +19,8 @@ from scipy import sparse
 
 from repro.milp.expr import ExprLike, LinExpr, Variable, VarKind, _as_expr
 
+_INT32_MAX = np.iinfo(np.int32).max
+
 
 class Sense(str, Enum):
     """Constraint sense; constraints are stored as ``expr SENSE 0``."""
@@ -89,9 +91,13 @@ class Model:
         self._variables: list[Variable] = []
         # One flat row store in insertion order: a (row, column, value)
         # triplet per term, the row bounds, and per row either the
-        # Constraint that was added or the (name, sense) of an add_rows
-        # row.  The Constraint view and the assembled row arrays are
-        # cached and invalidated by any structural change.
+        # Constraint that was added or the (name, sense) of a row-block
+        # row.  Terms are kept as array chunks, one per add_row_block
+        # call, and the scalar appends since the last chunk wait in lists;
+        # rows stay non-decreasing across the whole store.  The Constraint
+        # view and the assembled row arrays are cached and invalidated by
+        # any structural change.
+        self._term_chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._term_rows: list[int] = []
         self._term_cols: list[int] = []
         self._term_vals: list[float] = []
@@ -116,7 +122,7 @@ class Model:
         return None
 
     def _store(self, rows: Sequence[Mapping[Variable, float]],
-               senses: Sequence[Sense], rhs: Iterable[float],
+               senses: Sequence[Sense], rhs: Sequence[float],
                metas: Iterable[Constraint | tuple[str, Sense]]) -> None:
         """Append rows to the row store: their terms, bounds and meta.
         Zero coefficients stay in the store; the matrix and the
@@ -127,11 +133,35 @@ class Model:
             self._term_cols.extend([var.index for var in terms])
             self._term_vals.extend(terms.values())
             r += 1
-        for sense, b in zip(senses, rhs):
-            self._row_lb.append(-math.inf if sense is Sense.LE else b)
-            self._row_ub.append(math.inf if sense is Sense.GE else b)
+        self._store_bounds(senses, rhs)
         self._row_meta.extend(metas)
         self._invalidate()
+
+    def _store_bounds(self, senses: Sequence[Sense],
+                      rhs: Sequence[float]) -> None:
+        le, ge = Sense.LE, Sense.GE
+        self._row_lb += [-math.inf if sense is le else b
+                         for sense, b in zip(senses, rhs)]
+        self._row_ub += [math.inf if sense is ge else b
+                         for sense, b in zip(senses, rhs)]
+
+    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row store's ``(rows, cols, vals)`` term arrays, rows
+        non-decreasing, row-block padding (column -1) included; the pending
+        scalar terms and all chunks are folded into one chunk."""
+        if self._term_rows:
+            self._term_chunks.append((
+                np.array(self._term_rows, dtype=np.int64),
+                np.array(self._term_cols, dtype=np.int64),
+                np.array(self._term_vals, dtype=np.float64)))
+            self._term_rows, self._term_cols, self._term_vals = [], [], []
+        chunks = self._term_chunks
+        if not chunks:
+            empty = np.zeros(0, dtype=np.int64)
+            chunks.append((empty, empty, np.zeros(0)))
+        elif len(chunks) > 1:
+            chunks[:] = [tuple(np.concatenate(part) for part in zip(*chunks))]
+        return chunks[0]
 
     # -- building -------------------------------------------------------------
 
@@ -155,6 +185,15 @@ class Model:
     def add_binary(self, name: str) -> Variable:
         """Shorthand for a 0-1 variable."""
         return self.add_var(name, 0.0, 1.0, VarKind.BINARY)
+
+    def add_binaries(self, names: Sequence[str]) -> list[Variable]:
+        """One 0-1 variable per name, in order, on consecutive columns."""
+        start = len(self._variables)
+        created = [Variable(name, start + k, 0.0, 1.0, VarKind.BINARY)
+                   for k, name in enumerate(names)]
+        self._variables.extend(created)
+        self._rows_cache = None
+        return created
 
     def add_continuous(self, name: str, lb: float = 0.0,
                        ub: float = math.inf) -> Variable:
@@ -222,6 +261,50 @@ class Model:
                              f"owned by this model")
         self._store(rows, senses, [float(b) for b in rhs], zip(names, senses))
 
+    def add_row_block(self, cols: Sequence[int], vals: Sequence[float],
+                      senses: Sequence[Sense], rhs: Sequence[float],
+                      names: Sequence[str]) -> None:
+        """Add ``len(names)`` rows of equal width given as flat term arrays.
+
+        The array counterpart of :meth:`add_rows`: ``cols`` and ``vals``
+        hold every row's terms, row after row, each row ``len(cols) //
+        len(names)`` terms wide; a term on column -1 pads a shorter row.
+        They join the row store as one chunk, with no Python work per term.
+        Row ``r`` reads ``sum(vals[t] * variables[cols[t]] for t in row
+        r's terms) SENSE rhs[r]``.  A row's terms keep their order in the
+        :class:`Constraint` view, and zero coefficients are dropped; a
+        column may appear only once in a row.
+
+        Args:
+            cols: each term's column (the variable's ``index``), or -1.
+            vals: each term's coefficient.
+            senses: one :class:`Sense` per row.
+            rhs: one right-hand side per row.
+            names: one name per row.
+        """
+        n_rows = len(names)
+        cols = np.array(cols, dtype=np.int64)
+        vals = np.array(vals, dtype=np.float64)
+        width = cols.size // n_rows if n_rows else 0
+        if not (len(senses) == len(rhs) == n_rows
+                and cols.size == vals.size == width * n_rows):
+            raise ValueError(
+                f"{cols.size} columns / {vals.size} values for {n_rows} "
+                f"rows of equal width; {len(rhs)} right-hand sides / "
+                f"{len(senses)} senses")
+        if cols.size and (cols.min() < -1
+                          or cols.max() >= len(self._variables)):
+            raise ValueError("row block uses a column this model does not "
+                             "own")
+        if self._term_rows:
+            self._terms()
+        first = len(self._row_meta)
+        rows = np.arange(first, first + n_rows).repeat(width)
+        self._term_chunks.append((rows, cols, vals))
+        self._store_bounds(senses, rhs)
+        self._row_meta.extend(zip(names, senses))
+        self._invalidate()
+
     def set_objective(self, expr: ExprLike,
                       sense: ObjectiveSense | str = ObjectiveSense.MIN) -> None:
         """Set the objective expression and direction."""
@@ -237,10 +320,13 @@ class Model:
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
-        """All constraints in row order (``add_rows`` rows built lazily)."""
+        """All constraints in row order (``add_rows`` and row-block rows
+        built lazily)."""
         if self._constraints_cache is None:
-            starts = np.searchsorted(np.asarray(self._term_rows, dtype=np.int64),
-                                     np.arange(len(self._row_meta) + 1))
+            rows, cols, vals = self._terms()
+            starts = np.searchsorted(
+                rows, np.arange(len(self._row_meta) + 1)).tolist()
+            cols, vals = cols.tolist(), vals.tolist()
             flat: list[Constraint] = []
             for r, meta in enumerate(self._row_meta):
                 if isinstance(meta, Constraint):
@@ -248,9 +334,9 @@ class Model:
                     continue
                 name, sense = meta
                 lo, hi = starts[r], starts[r + 1]
-                terms = {self._variables[j]: float(c)
-                         for j, c in zip(self._term_cols[lo:hi],
-                                         self._term_vals[lo:hi]) if c != 0.0}
+                terms = {self._variables[j]: c
+                         for j, c in zip(cols[lo:hi], vals[lo:hi])
+                         if c != 0.0 and j >= 0}
                 rhs = self._row_lb[r] if sense is Sense.GE else self._row_ub[r]
                 flat.append(Constraint(LinExpr(terms, -float(rhs)), sense, name))
             self._constraints_cache = tuple(flat)
@@ -311,15 +397,35 @@ class Model:
         return [constraints[i] for i in np.flatnonzero(bad)]
 
     def _assembled_rows(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """The constraint system as ``(A, row_lb, row_ub)``, cached: the
-        row store's nonzero triplets become the CSR matrix in one call."""
+        """The constraint system as ``(A, row_lb, row_ub)``, cached.
+
+        The CSR arrays come straight from the row store's nonzero terms:
+        sorting them by ``row * n_columns + column`` orders each row's
+        columns, and one ``bincount`` of the rows gives ``indptr``.  The
+        matrix is canonical (sorted columns, no duplicates), as SciPy's
+        COO conversion leaves it.
+        """
         if self._rows_cache is None:
-            vals = np.array(self._term_vals, dtype=np.float64)
-            keep = vals != 0.0
-            a_matrix = sparse.csr_matrix(
-                (vals[keep], (np.array(self._term_rows, dtype=np.int64)[keep],
-                              np.array(self._term_cols, dtype=np.int64)[keep])),
-                shape=(len(self._row_meta), len(self._variables)))
+            rows, cols, vals = self._terms()
+            keep = (vals != 0.0) & (cols >= 0)
+            if not keep.all():
+                rows, cols, vals = rows[keep], cols[keep], vals[keep]
+            shape = (len(self._row_meta), len(self._variables))
+            key = rows * shape[1] + cols
+            order = key.argsort()
+            key = key[order]
+            if (key[1:] == key[:-1]).any():
+                r = int(key[1:][key[1:] == key[:-1]][0] // shape[1])
+                raise ValueError(f"row {self.constraints[r].name!r} names "
+                                 f"a column twice")
+            cols, vals = cols[order], vals[order]
+            index = np.int32 if max(*shape, vals.size) <= _INT32_MAX \
+                else np.int64
+            indptr = np.zeros(shape[0] + 1, dtype=index)
+            np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+            a_matrix = sparse.csr_matrix((vals, cols.astype(index), indptr),
+                                         shape=shape)
+            a_matrix.has_canonical_format = True
             self._rows_cache = (a_matrix, np.array(self._row_lb, dtype=np.float64),
                                 np.array(self._row_ub, dtype=np.float64))
         return self._rows_cache
@@ -333,7 +439,8 @@ class Model:
         bounds are mutated in place after construction (dominance fixings,
         presolve tightenings).
         """
-        n = len(self._variables)
+        variables = self._variables
+        n = len(variables)
         c = np.zeros(n)
         for var, coeff in self._objective.terms.items():
             c[var.index] += coeff
@@ -341,15 +448,16 @@ class Model:
         if maximize:
             c = -c
         a_matrix, row_lb, row_ub = self._assembled_rows()
-        lb = np.array([v.lb for v in self._variables])
-        ub = np.array([v.ub for v in self._variables])
-        integrality = np.array(
-            [1 if v.is_integral else 0 for v in self._variables])
+        lb = np.array([v.lb for v in variables], dtype=np.float64)
+        ub = np.array([v.ub for v in variables], dtype=np.float64)
+        continuous = VarKind.CONTINUOUS
+        integrality = np.array([v.kind is not continuous for v in variables],
+                               dtype=np.int_)
         c0 = self._objective.constant * (-1.0 if maximize else 1.0)
         return StandardForm(c=c, c0=c0, a_matrix=a_matrix, row_lb=row_lb,
                             row_ub=row_ub, lb=lb, ub=ub,
                             integrality=integrality,
-                            variables=tuple(self._variables),
+                            variables=tuple(variables),
                             maximize=maximize)
 
     def __repr__(self) -> str:

@@ -14,9 +14,12 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.check.certificate import check_certificate
+from repro.check.certificate import Violation, check_certificate
 from repro.check.geometry import check_placements
 from repro.core.config import FloorplanConfig
 from repro.core.formulation import SubproblemBuilder
@@ -157,6 +160,88 @@ def test_optimal_without_bound_is_rejected(solved):
     mutant = _mutate(solution, bound=math.nan)
     report = check_certificate(builder.model, mutant)
     assert any(v.kind == "bound" for v in report.violations)
+
+
+# -- several bound and integrality faults at once ----------------------------
+
+
+def _reference_column_checks(form, x, feas_tol, int_tol):
+    """The per-variable loops the array bound and integrality checks
+    replaced, kept as their reference."""
+    found = []
+    for j, var in enumerate(form.variables):
+        scale = 1.0 + abs(x[j])
+        below = form.lb[j] - x[j]
+        above = x[j] - form.ub[j]
+        worst = max(below, above)
+        if worst > feas_tol * scale:
+            found.append(Violation(
+                "variable-bound", var.name, worst,
+                f"{var.name} = {x[j]:.9g} outside "
+                f"[{form.lb[j]:.9g}, {form.ub[j]:.9g}]"))
+    for j in np.flatnonzero(form.integrality == 1):
+        drift = abs(x[j] - round(x[j]))
+        if drift > int_tol:
+            found.append(Violation(
+                "integrality", form.variables[j].name, drift,
+                f"{form.variables[j].name} = {x[j]:.9g} is {drift:.3g} "
+                f"from the nearest integer (int_tol {int_tol:g})"))
+    return found
+
+
+def _assert_column_checks_match(builder, mutant, feas_tol=1e-6,
+                                int_tol=1e-6):
+    form = builder.model.to_standard_form()
+    report = check_certificate(builder.model, mutant, feas_tol=feas_tol,
+                               int_tol=int_tol)
+    x = np.array([mutant.values[v] for v in form.variables])
+    got = [v for v in report.violations
+           if v.kind in ("variable-bound", "integrality")]
+    want = _reference_column_checks(form, x, feas_tol, int_tol)
+    assert [(v.kind, v.name, float(v.magnitude), v.detail) for v in got] \
+        == [(v.kind, v.name, float(v.magnitude), v.detail) for v in want]
+    return got
+
+
+def test_several_column_faults_listed_like_the_loop(solved):
+    """Bounds broken on both sides and fractional binaries, several at
+    once: the array checks name each one, in column order, with the
+    per-variable loop's magnitudes and messages."""
+    builder, solution, _w = solved
+    values = dict(solution.values)
+    by_name = {v.name: v for v in values}
+    binaries = [v for v in values if v.is_integral]
+    values[by_name["x[a]"]] = -3.0
+    values[by_name["y[b]"]] = 1e6
+    values[binaries[0]] = 0.4
+    values[binaries[1]] = 1.7
+    values[binaries[2]] = -0.2500001
+    values[binaries[3]] = 2.5
+    got = _assert_column_checks_match(builder, _mutate(solution,
+                                                       values=values))
+    assert {v.name for v in got if v.kind == "variable-bound"} >= {
+        "x[a]", "y[b]", binaries[1].name, binaries[2].name}
+    assert {v.name for v in got if v.kind == "integrality"} == {
+        v.name for v in binaries[:4]}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(changes=st.lists(st.tuples(
+    st.integers(min_value=0, max_value=10**6),
+    st.one_of(st.floats(min_value=-50.0, max_value=50.0),
+              st.sampled_from([0.5, -0.5, 1.0 + 1e-7, 1.0 + 1e-5, -1e-6,
+                               1e9, -1e-300]))),
+    min_size=1, max_size=8),
+    tols=st.sampled_from([(1e-6, 1e-6), (1e-9, 1e-3), (1e-3, 1e-9)]))
+def test_random_column_faults_listed_like_the_loop(solved, changes, tols):
+    builder, solution, _w = solved
+    values = dict(solution.values)
+    variables = list(values)
+    for index, value in changes:
+        values[variables[index % len(variables)]] = value
+    _assert_column_checks_match(builder, _mutate(solution, values=values),
+                                *tols)
 
 
 # -- fixed-outline mutants ----------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.milp.expr import lin_sum
+from repro.milp.expr import VarKind, lin_sum
 from repro.milp.model import Model, Sense
 
 
@@ -140,6 +140,45 @@ class TestModel:
         assert (b.name, b.sense, b.expr.terms, b.expr.constant) == \
             ("b", Sense.EQ, {z: -1.0}, 1.0)
         assert (c.name, c.sense, c.expr.terms) == ("c", Sense.GE, {})
+
+    def test_add_row_block_padded_rows(self, model):
+        """Fixed-width rows padded with column -1, between scalar rows;
+        zero coefficients and padding reach neither the matrix nor the
+        Constraint view, and each row keeps its terms' order."""
+        x = model.add_continuous("x")
+        z, w = model.add_binaries(["z", "w"])
+        assert [(v.name, v.index, v.lb, v.ub, v.kind) for v in (z, w)] == \
+            [("z", 1, 0.0, 1.0, VarKind.BINARY),
+             ("w", 2, 0.0, 1.0, VarKind.BINARY)]
+        model.add_constraint(x + z >= 1, name="first")
+        model.add_row_block([w.index, x.index, -1, z.index, -1, -1],
+                            [3.0, 2.0, 0.0, 0.0, 7.0, 0.0],
+                            [Sense.LE, Sense.EQ], [4.0, -0.0], ["a", "b"])
+        model.add_row_block([], [], [], [], [])
+        model.add_constraint(x <= 9, name="last")
+        form = model.to_standard_form()
+        assert form.a_matrix.toarray().tolist() == \
+            [[1.0, 1.0, 0.0], [2.0, 0.0, 3.0], [0.0, 0.0, 0.0],
+             [1.0, 0.0, 0.0]]
+        assert form.a_matrix.indices.tolist() == [0, 1, 0, 2, 0]
+        assert form.row_ub.tolist()[1:] == [4.0, -0.0, 9.0]
+        _first, a, b, _last = model.constraints
+        assert list(a.expr.terms.items()) == [(w, 3.0), (x, 2.0)]
+        assert (b.name, b.sense, b.expr.terms) == ("b", Sense.EQ, {})
+
+    def test_add_row_block_rejects_bad_shapes_and_columns(self, model):
+        x = model.add_continuous("x")
+        with pytest.raises(ValueError, match="equal width"):
+            model.add_row_block([x.index, -1, x.index], [1.0, 0.0, 1.0],
+                                [Sense.LE, Sense.LE], [1.0, 2.0], ["a", "b"])
+        with pytest.raises(ValueError, match="does not own"):
+            model.add_row_block([x.index + 1], [1.0], [Sense.LE], [1.0],
+                                ["a"])
+        assert model.n_constraints == 0
+        model.add_row_block([x.index, x.index], [1.0, 2.0], [Sense.LE],
+                            [1.0], ["twice"])
+        with pytest.raises(ValueError, match="'twice' names a column twice"):
+            model.to_standard_form()
 
     def test_non_constraint_rejected(self, model):
         with pytest.raises(TypeError):

@@ -21,6 +21,7 @@ must equal exactly:
 
 from __future__ import annotations
 
+import itertools
 import math
 from unittest import mock
 
@@ -31,16 +32,18 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import repro.core.topology as topology
-from repro.core.config import Linearization
+from repro.core.config import FloorplanConfig, Linearization, Objective
 from repro.core.flexible import linearize, linearize_at
+from repro.core.formulation import SubproblemBuilder
 from repro.core.placement import Placement
 from repro.core.shape_refine import refine_shapes
 from repro.core.topology import derive_relations, optimize_topology
-from repro.geometry.rect import Rect
+from repro.geometry.rect import GEOM_EPS, Rect
 from repro.milp.cache import BLOB_VERSION, canonical_form_key, canonical_form_text
 from repro.milp.expr import LinExpr, Variable, VarKind
+from repro.milp.lpformat import write_lp
 from repro.milp.model import Model, StandardForm
-from repro.netlist.module import Module
+from repro.netlist.module import Module, PinCounts
 
 # ---------------------------------------------------------------------------
 # references: the per-row code the array paths replaced
@@ -353,3 +356,296 @@ class TestTopologyParity:
             Module.rigid("b", 1.0, 1.0), Rect(2.0, 0.0, 1.0, 1.0))])
         with pytest.raises(ValueError, match="unknown module"):
             optimize_topology(placements, [rel])
+
+
+# ---------------------------------------------------------------------------
+# the window model
+# ---------------------------------------------------------------------------
+
+
+class ReferenceBuilder(SubproblemBuilder):
+    """The window model with the per-row code the row blocks replaced: one
+    ``add_binary`` per binary, each unit's rows as ``{variable:
+    coefficient}`` maps through ``add_rows``, and the dominance cuts
+    through the ``LinExpr`` algebra."""
+
+    @staticmethod
+    def _affine1(expr):
+        if not expr.terms:
+            return None, 0.0, expr.constant
+        (var, coef), = expr.terms.items()
+        return var, coef, expr.constant
+
+    def _rows(self, specs, names) -> None:
+        self.model.add_rows(
+            [{var: coef for var, coef in terms if var is not None}
+             for terms, _b, _sense in specs],
+            [sense for _t, _b, sense in specs], [b for _t, b, _s in specs],
+            names)
+
+    def _add_pairwise_non_overlap(self, _modules) -> None:
+        unary = self.config.formulation == "unary"
+        mw, mh = self._width_big_m, self._height_big_m
+        names = list(self._window)
+        for a in range(len(names)):
+            for b in range(a + 1, len(names)):
+                wi, wj = self._window[names[a]], self._window[names[b]]
+                pair, tag = (names[a], names[b]), f"{names[a]}|{names[b]}"
+                wvar_i, wc_i, w0_i = self._affine1(wi.width)
+                hvar_i, hc_i, h0_i = self._affine1(wi.height)
+                wvar_j, wc_j, w0_j = self._affine1(wj.width)
+                hvar_j, hc_j, h0_j = self._affine1(wj.height)
+                dead = self._prune_dominated and wi.min_width + \
+                    wj.min_width > self._chip_width_cap + GEOM_EPS
+                if not unary:
+                    p = self.model.add_binary(f"p[{pair[0]},{pair[1]}]")
+                    q = self.model.add_binary(f"q[{pair[0]},{pair[1]}]")
+                    self._pair_binaries[pair] = (p, q)
+                    self._rows([
+                        ([(wi.x, 1.0), (wvar_i, wc_i), (wj.x, -1.0),
+                          (p, -mw), (q, -mw)], -w0_i, "<="),
+                        ([(wj.x, 1.0), (wvar_j, wc_j), (wi.x, -1.0),
+                          (p, mw), (q, -mw)], mw - w0_j, "<="),
+                        ([(wi.y, 1.0), (hvar_i, hc_i), (wj.y, -1.0),
+                          (p, -mh), (q, mh)], mh - h0_i, "<="),
+                        ([(wj.y, 1.0), (hvar_j, hc_j), (wi.y, -1.0),
+                          (p, mh), (q, mh)], 2.0 * mh - h0_j, "<=")],
+                        [f"no[{tag}]:{d}" for d in _DIRECTIONS])
+                    if dead:
+                        q.lb = 1.0
+                    continue
+                z = tuple(self.model.add_binary(f"{d}[{pair[0]},{pair[1]}]")
+                          for d in _DIRECTIONS)
+                zl, zr, zb, za = z
+                self._pair_unary[pair] = z
+                self._rows([
+                    ([(zl, 1.0), (zr, 1.0), (zb, 1.0), (za, 1.0)], 1.0, "=="),
+                    ([(wi.x, 1.0), (wvar_i, wc_i), (wj.x, -1.0), (zl, mw)],
+                     mw - w0_i, "<="),
+                    ([(wj.x, 1.0), (wvar_j, wc_j), (wi.x, -1.0), (zr, mw)],
+                     mw - w0_j, "<="),
+                    ([(wi.y, 1.0), (hvar_i, hc_i), (wj.y, -1.0), (zb, mh)],
+                     mh - h0_i, "<="),
+                    ([(wj.y, 1.0), (hvar_j, hc_j), (wi.y, -1.0), (za, mh)],
+                     mh - h0_j, "<=")],
+                    [f"no[{tag}]:{d}" for d in ("onehot",) + _DIRECTIONS])
+                cuts, cut_names = [], []
+                for d, zv, other, min_dim in (
+                        ("left", zl, wj.x, wi.min_width),
+                        ("right", zr, wi.x, wj.min_width),
+                        ("below", zb, wj.y, wi.min_height),
+                        ("above", za, wi.y, wj.min_height)):
+                    if min_dim > GEOM_EPS:
+                        cuts.append(([(other, 1.0), (zv, -min_dim)], 0.0, ">="))
+                        cut_names.append(f"vi[{tag}]:{d}")
+                for d, zv, wm, other_min in (("left", zl, wi, wj.min_width),
+                                             ("right", zr, wj, wi.min_width)):
+                    wvar, wc, w0 = self._affine1(wm.width)
+                    terms = [(wm.x, 1.0), (wvar, wc), (zv, other_min)]
+                    if self.width_var is not None:
+                        cuts.append((terms + [(self.width_var, -1.0)], -w0,
+                                     "<="))
+                    else:
+                        cuts.append((terms, self._chip_width_cap - w0, "<="))
+                    cut_names.append(f"vi[{tag}]:packw-{d}")
+                for d, zv, wm, other_min in (("below", zb, wi, wj.min_height),
+                                             ("above", za, wj, wi.min_height)):
+                    hvar, hc, h0 = self._affine1(wm.height)
+                    cuts.append(([(wm.y, 1.0), (hvar, hc), (zv, other_min),
+                                  (self.height_var, -1.0)], -h0, "<="))
+                    cut_names.append(f"vi[{tag}]:packh-{d}")
+                self._rows(cuts, cut_names)
+                if dead:
+                    zl.ub = 0.0
+                    zr.ub = 0.0
+
+    def _add_obstacle_non_overlap(self, _modules, prune_floor) -> None:
+        unary = self.config.formulation == "unary"
+        mw, mh = self._width_big_m, self._height_big_m
+        for name, wm in self._window.items():
+            wvar, wc, w0 = self._affine1(wm.width)
+            hvar, hc, h0 = self._affine1(wm.height)
+            for k, obs in enumerate(self.obstacles):
+                tag = f"{name}|obs{k}"
+                left_dead = self._prune_dominated \
+                    and wm.min_width > obs.x + GEOM_EPS
+                right_dead = self._prune_dominated and obs.x2 + \
+                    wm.min_width > self._chip_width_cap + GEOM_EPS
+                below_dead = (prune_floor and obs.y <= GEOM_EPS) or (
+                    self._prune_dominated
+                    and wm.min_height > obs.y + GEOM_EPS)
+                if unary:
+                    z = tuple(self.model.add_binary(f"{d}[{name},obs{k}]")
+                              for d in _DIRECTIONS)
+                    zl, zr, zb, za = z
+                    self._obstacle_unary[(name, k)] = z
+                    ml = max(self._chip_width_cap - obs.x, 0.0)
+                    mb = max(self._height_bound - obs.y, 0.0)
+                    self._rows([
+                        ([(zl, 1.0), (zr, 1.0), (zb, 1.0), (za, 1.0)], 1.0,
+                         "=="),
+                        ([(wm.x, 1.0), (wvar, wc), (zl, ml)],
+                         obs.x + ml - w0, "<="),
+                        ([(wm.x, 1.0), (zr, -obs.x2)], 0.0, ">="),
+                        ([(wm.y, 1.0), (hvar, hc), (zb, mb)],
+                         obs.y + mb - h0, "<="),
+                        ([(wm.y, 1.0), (za, -obs.y2)], 0.0, ">=")],
+                        [f"no[{tag}]:{d}" for d in ("onehot",) + _DIRECTIONS])
+                    for dead, zv in ((left_dead, zl), (right_dead, zr),
+                                     (below_dead, zb)):
+                        if dead:
+                            zv.ub = 0.0
+                    if left_dead and right_dead and below_dead:
+                        za.lb = 1.0
+                    continue
+                p = self.model.add_binary(f"p[{name},obs{k}]")
+                q = self.model.add_binary(f"q[{name},obs{k}]")
+                self._obstacle_binaries[(name, k)] = (p, q)
+                self._rows([
+                    ([(wm.x, 1.0), (wvar, wc), (p, -mw), (q, -mw)],
+                     obs.x - w0, "<="),
+                    ([(wm.x, 1.0), (p, -mw), (q, mw)], obs.x2 - mw, ">="),
+                    ([(wm.y, 1.0), (hvar, hc), (p, -mh), (q, mh)],
+                     mh + obs.y - h0, "<="),
+                    ([(wm.y, 1.0), (p, -mh), (q, -mh)], obs.y2 - 2.0 * mh,
+                     ">=")],
+                    [f"no[{tag}]:{d}" for d in _DIRECTIONS])
+                if left_dead and right_dead:
+                    q.lb = 1.0
+                    if below_dead:
+                        p.lb = 1.0
+                    continue
+                if left_dead:
+                    self.model.add_constraint(p + q >= 1,
+                                              name=f"cut[{tag}]:noleft")
+                if right_dead:
+                    self.model.add_constraint(p.to_expr() <= q,
+                                              name=f"cut[{tag}]:noright")
+                if below_dead:
+                    self.model.add_constraint(q.to_expr() <= p,
+                                              name=f"cut[{tag}]:floor")
+
+    def _add_chip_bounds(self, _modules) -> None:
+        for name, wm in self._window.items():
+            wvar, wc, w0 = self._affine1(wm.width)
+            hvar, hc, h0 = self._affine1(wm.height)
+            chipw = {wm.x: 1.0}
+            if wvar is not None:
+                chipw[wvar] = wc
+            if self.width_var is not None:
+                chipw[self.width_var] = -1.0
+                chipw_rhs = -w0
+            else:
+                chipw_rhs = self.chip_width - w0
+            chiph = {wm.y: 1.0, self.height_var: -1.0}
+            if hvar is not None:
+                chiph[hvar] = chiph.get(hvar, 0.0) + hc
+            self.model.add_rows([chipw, chiph], "<=", [chipw_rhs, -h0],
+                                [f"chipw[{name}]", f"chiph[{name}]"])
+
+
+_DIRECTIONS = ("left", "right", "below", "above")
+
+
+@st.composite
+def window_cases(draw):
+    """A window of rigid, rotatable and flexible modules (some with pins,
+    so envelopes widen them) over zero to five obstacles — floor-level,
+    raised, overlapping, poking past the chip — under either encoding,
+    every objective, presolve on or off, floor pruning on or off, and an
+    outline cap that the obstacles may already exceed."""
+    size = st.floats(min_value=0.5, max_value=8.0)
+    window = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        pins = PinCounts(*draw(st.lists(st.integers(0, 3), min_size=4,
+                                        max_size=4)))
+        kind = draw(st.sampled_from(["rigid", "fixed", "flex", "square"]))
+        if kind == "flex":
+            window.append(Module.flexible_area(
+                f"m{i}", draw(size) * draw(size),
+                aspect_low=draw(st.sampled_from([0.25, 0.5, 1.0])),
+                aspect_high=draw(st.sampled_from([1.0, 2.0, 4.0])),
+                pins=pins))
+        else:
+            w = draw(size)
+            window.append(Module.rigid(
+                f"m{i}", w, w if kind == "square" else draw(size),
+                rotatable=kind != "fixed", pins=pins))
+    chip_width = draw(st.floats(min_value=2.0, max_value=20.0))
+    spot = st.floats(min_value=0.0, max_value=chip_width)
+    obstacles = [Rect(draw(spot), draw(st.sampled_from([0.0, 0.0, 1.5]))
+                      + draw(st.floats(0.0, 10.0)), draw(size), draw(size))
+                 for _ in range(draw(st.integers(min_value=0, max_value=5)))]
+    config = FloorplanConfig(
+        formulation=draw(st.sampled_from(["bigm", "unary"])),
+        allow_rotation=draw(st.booleans()),
+        use_envelopes=draw(st.booleans()),
+        objective=draw(st.sampled_from(list(Objective))),
+        linearization=draw(st.sampled_from(list(Linearization))),
+        presolve=draw(st.booleans()))
+    flex = [m for m in window if m.flexible]
+    overrides = {m.name: linearize_at(m, draw(st.floats(m.width_min,
+                                                        m.width_max)))
+                 for m in flex if draw(st.booleans())}
+    top = max((o.y2 for o in obstacles), default=0.0)
+    kwargs = dict(
+        pair_weights={(a.name, b.name): 1.0 for a, b in
+                      itertools.combinations(window, 2)},
+        flex_linearizations=overrides,
+        base_height=draw(st.sampled_from([0.0, top, top + 1.0])),
+        prune_floor_obstacles=draw(st.booleans()),
+        outline_height=draw(st.one_of(
+            st.none(), st.floats(min_value=0.0, max_value=top + 20.0))))
+    return window, obstacles, chip_width, config, kwargs
+
+
+def _constraint_view(model: Model) -> list:
+    """Each row as ``model.constraints`` shows it: name, sense, terms in
+    order and constant (``repr`` keeps the sign of a zero)."""
+    return [(c.name, c.sense,
+             [(v.name, repr(coef)) for v, coef in c.expr.terms.items()],
+             repr(c.expr.constant)) for c in model.constraints]
+
+
+def _bookkeeping(builder) -> list:
+    """What decode, encode and the warm starts read besides the model."""
+    return [{key: tuple(v.name for v in binaries)
+             for key, binaries in table.items()}
+            for table in (builder._pair_binaries, builder._obstacle_binaries,
+                          builder._pair_unary, builder._obstacle_unary)]
+
+
+class TestWindowParity:
+    @settings(max_examples=300, deadline=None)
+    @given(case=window_cases())
+    def test_blocks_equal_the_per_row_reference(self, case):
+        window, obstacles, chip_width, config, kwargs = case
+        got = SubproblemBuilder(window, obstacles, chip_width, config,
+                                **kwargs)
+        want = ReferenceBuilder(window, obstacles, chip_width, config,
+                                **kwargs)
+        _assert_same_model(got.model, want.model)
+        assert [(v.kind, v.lb, v.ub) for v in got.model.variables] \
+            == [(v.kind, v.lb, v.ub) for v in want.model.variables]
+        assert _constraint_view(got.model) == _constraint_view(want.model)
+        assert write_lp(got.model) == write_lp(want.model)
+        assert _bookkeeping(got) == _bookkeeping(want)
+
+    def test_cases_reach_every_row_kind(self):
+        """The strategy is not vacuous: a fixed draw of cases yields every
+        dominance cut, the outline cap and both encodings' rows."""
+        kinds = set()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(case=window_cases())
+        def collect(case):
+            window, obstacles, chip_width, config, kwargs = case
+            model = SubproblemBuilder(window, obstacles, chip_width, config,
+                                      **kwargs).model
+            kinds.update(c.name.split(":")[-1] if ":" in c.name
+                         else c.name.split("[")[0]
+                         for c in model.constraints)
+
+        collect()
+        assert {"noleft", "noright", "floor", "cap", "onehot", "packw-left",
+                "left", "chipw", "chiph"} <= kinds
